@@ -4,7 +4,7 @@ attention pyramid, built on an in-package reverse-mode autodiff engine.
 Subpackage map:
 
     numcore     tensors, autodiff tape, attention primitives, grad_check
-    skeleton    pose/sequence types, anatomy table, partition schemes
+    skeleton    sequence type, anatomy table, partition schemes
     model       the pyramid network and its configuration
     training    triplet loss, batch-hard mining, AdamW, cyclic LR, train loop
     evaluation  rank-K / cross-view protocols, Welch's t-test, Pearson r
@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     StatisticsError,
 )
-from .model import GaitPTConfig, GaitPTModel, StageConfig, default_config, with_stages
+from .model import GaitPTConfig, GaitPTModel, StageConfig, with_stages
 from .numcore import GradTape, Parameter, Tensor, backward, grad_check
 from .skeleton import (
     ANATOMY,
@@ -33,7 +33,6 @@ from .skeleton import (
     Condition,
     GaitSequence,
     PartitionScheme,
-    Pose,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +53,6 @@ __all__ = [
     "NumericError",
     "Parameter",
     "PartitionScheme",
-    "Pose",
     "ProtocolError",
     "SamplingError",
     "ShapeError",
@@ -62,7 +60,6 @@ __all__ = [
     "StatisticsError",
     "Tensor",
     "backward",
-    "default_config",
     "grad_check",
     "with_stages",
 ]

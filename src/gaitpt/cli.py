@@ -132,8 +132,6 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     run = _load_run_config(args)
     subsets = [_int_list(part) for part in args.subsets.split("|") if part.strip()]
-    if args.runs < 2 and len(subsets) > 1:
-        raise ConfigError("pairwise t-tests need --runs >= 2")
     splits = dataio.load_split_sequences(args.data)
     result = evaluation.ablation_run(
         splits, subsets, runs=args.runs, seed=_seed_of(args, run),
@@ -191,7 +189,6 @@ def _gradcheck_cases(rng: np.random.Generator):
         ("sum", lambda x: sq(nc.tensor_sum(x, axis=1)), t(3, 4)),
         ("mean", lambda x: sq(nc.mean(x, axis=0)), t(3, 4)),
         ("sqrt", lambda x: sq(nc.sqrt(nc.add(nc.mul(x, x), 0.5))), t(3, 4)),
-        ("log", lambda x: sq(nc.log(nc.add(nc.mul(x, x), 0.5))), t(3, 4)),
         ("relu", lambda x: sq(nc.relu(x)), t(3, 4)),
         ("gelu", lambda x: sq(nc.gelu(x)), t(3, 4)),
         ("softmax", lambda x: sq(nc.softmax(x, axis=-1)), t(3, 4)),

@@ -9,6 +9,7 @@ order, guarded by a length check and a CRC32.
 
 from __future__ import annotations
 
+import inspect
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -18,7 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, IntegrityError
 from .model import GaitPTConfig, GaitPTModel
-from .skeleton import RAW_JOINTS, Condition, GaitSequence, normalize_sequence
+from .skeleton import (
+    RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence, sequence_key,
+)
 from .training import TrainConfig
 
 CHECKPOINT_VERSION = 1
@@ -40,13 +43,18 @@ class SequenceRecord:
     frames: np.ndarray  # (n, 17, 2), unnormalized
 
     def __post_init__(self):
-        arr = np.asarray(self.frames, dtype=np.float64)
+        try:
+            arr = np.asarray(self.frames, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise DataFormatError(f"record {self.key!r}: frames are not numeric") from e
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (RAW_JOINTS, 2):
             raise DataFormatError(
                 f"record {self.key!r}: frames need shape (n, 17, 2) with n >= 1, got {arr.shape}"
             )
-        if self.frame_width <= 0:
-            raise DataFormatError(f"record {self.key!r}: frame_width must be > 0")
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"record {self.key!r}: frames hold non-finite coordinates")
+        if not (np.isfinite(self.frame_width) and self.frame_width > 0):
+            raise DataFormatError(f"record {self.key!r}: frame_width must be finite and > 0")
         object.__setattr__(self, "frames", arr)
 
 
@@ -57,7 +65,7 @@ def sequence_to_record(seq: GaitSequence, frame_width: float = 1.0) -> SequenceR
     if frame_width != 1.0:
         frames = frames * frame_width
     return SequenceRecord(
-        key=seq.key or f"{seq.subject_id}-{seq.condition.value}-v{seq.view:03d}-{seq.session:02d}",
+        key=seq.key or sequence_key(seq.subject_id, seq.condition, seq.view, seq.session),
         subject_id=seq.subject_id,
         condition=seq.condition.value,
         view=seq.view,
@@ -69,13 +77,12 @@ def sequence_to_record(seq: GaitSequence, frame_width: float = 1.0) -> SequenceR
 
 def record_to_sequence(rec: SequenceRecord) -> GaitSequence:
     """Apply nose duplication and width normalization."""
-    frames18 = np.concatenate([rec.frames, rec.frames[:, :1]], axis=1)
     seq = GaitSequence(
         subject_id=rec.subject_id,
         condition=Condition(rec.condition),
         view=rec.view,
         session=rec.session,
-        frames=frames18,
+        frames=duplicate_nose(rec.frames),
         key=rec.key,
     )
     return normalize_sequence(seq, rec.frame_width)
@@ -85,28 +92,22 @@ def write_records(records, path) -> Path:
     path = Path(path)
     with open(path, "w") as fh:
         for rec in records:
-            obj = {
-                "key": rec.key,
-                "subject_id": rec.subject_id,
-                "condition": rec.condition,
-                "view": rec.view,
-                "session": rec.session,
-                "frame_width": rec.frame_width,
-                "frames": rec.frames.tolist(),
-            }
+            obj = {k: getattr(rec, k) for k in _RECORD_KEYS}
+            obj["frames"] = rec.frames.tolist()
             fh.write(json.dumps(obj) + "\n")
     return path
 
 
-def read_records(path) -> list[SequenceRecord]:
-    """Parse a JSONL record file; every problem is reported with its line
-    (or byte offset, for non-text files)."""
-    path = Path(path)
+def _jsonl_objects(path: Path):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    Non-UTF-8 bytes are reported with their byte offset, and invalid JSON or
+    a row that is not an object with its line.
+    """
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text (byte offset {e.start})") from e
-    records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -116,20 +117,21 @@ def read_records(path) -> list[SequenceRecord]:
             raise DataFormatError(f"{path} line {lineno}: invalid JSON ({e.msg})") from e
         if not isinstance(obj, dict):
             raise DataFormatError(f"{path} line {lineno}: expected a JSON object")
+        yield lineno, obj
+
+
+def read_records(path) -> list[SequenceRecord]:
+    """Parse a JSONL record file; every problem is reported with its line
+    (or byte offset, for non-text files)."""
+    path = Path(path)
+    records = []
+    for lineno, obj in _jsonl_objects(path):
         unknown = set(obj) - set(_RECORD_KEYS)
         if unknown:
             raise DataFormatError(f"{path} line {lineno}: unknown keys {sorted(unknown)}")
         missing = set(_RECORD_KEYS) - set(_OPTIONAL_RECORD_KEYS) - set(obj)
         if missing:
             raise DataFormatError(f"{path} line {lineno}: missing keys {sorted(missing)}")
-        try:
-            frames = np.asarray(obj["frames"], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise DataFormatError(f"{path} line {lineno}: frames are not numeric") from e
-        if frames.ndim != 3 or frames.shape[1:] != (RAW_JOINTS, 2):
-            raise DataFormatError(
-                f"{path} line {lineno}: frames need shape (n, 17, 2), got {frames.shape}"
-            )
         try:
             records.append(
                 SequenceRecord(
@@ -139,7 +141,7 @@ def read_records(path) -> list[SequenceRecord]:
                     view=int(obj["view"]),
                     session=int(obj.get("session", 1)),
                     frame_width=float(obj["frame_width"]),
-                    frames=frames,
+                    frames=obj["frames"],
                 )
             )
         except (DataFormatError, ValueError, TypeError) as e:
@@ -259,7 +261,7 @@ def save_checkpoint(model: GaitPTModel, path) -> Path:
     path = Path(path)
     names = list(model.params)
     payload = b"".join(
-        model.params[n].value.data.astype("<f4" if model.config.dtype == "float32" else "<f8").tobytes()
+        model.params[n].value.data.astype(model.config.np_dtype.newbyteorder("<")).tobytes()
         for n in names
     )
     header = {
@@ -310,7 +312,7 @@ def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPT
         )
 
     model = GaitPTModel(config, seed=0)
-    dtype = np.dtype("<f4" if header["dtype"] == "float32" else "<f8")
+    dtype = config.np_dtype.newbyteorder("<")
     header_names = [n for n, _ in header["params"]]
     if header_names != list(model.params):
         raise IntegrityError(f"{path}: parameter table does not match the config's parameters")
@@ -348,27 +350,29 @@ def write_embeddings(embset, path) -> Path:
 
 
 def read_embeddings(path):
+    """Parse a JSONL embedding file; every problem is reported with its line
+    (or byte offset, for non-text files)."""
     from .evaluation import EmbeddingSet
 
     path = Path(path)
     keys, subjects, conditions, views, sessions, vectors = [], [], [], [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"{path} line {lineno}: invalid JSON ({e.msg})") from e
-            try:
-                keys.append(str(obj["key"]))
-                subjects.append(str(obj["subject_id"]))
-                conditions.append(Condition(obj["condition"]))
-                views.append(int(obj["view"]))
-                sessions.append(int(obj.get("session", 1)))
-                vectors.append(np.asarray(obj["embedding"], dtype=np.float64))
-            except (KeyError, ValueError, TypeError) as e:
-                raise DataFormatError(f"{path} line {lineno}: {e}") from e
+    for lineno, obj in _jsonl_objects(path):
+        try:
+            vector = np.asarray(obj["embedding"], dtype=np.float64)
+            if vector.ndim != 1:
+                raise ValueError(f"embedding must be a flat list, got shape {vector.shape}")
+            if vectors and vector.size != vectors[0].size:
+                raise ValueError(f"embedding has {vector.size} entries, earlier rows {vectors[0].size}")
+            if not np.isfinite(vector).all():
+                raise ValueError("embedding holds non-finite values")
+            keys.append(str(obj["key"]))
+            subjects.append(str(obj["subject_id"]))
+            conditions.append(Condition(obj["condition"]))
+            views.append(int(obj["view"]))
+            sessions.append(int(obj.get("session", 1)))
+            vectors.append(vector)
+        except (KeyError, ValueError, TypeError) as e:
+            raise DataFormatError(f"{path} line {lineno}: {e}") from e
     if not vectors:
         raise DataFormatError(f"{path}: no embedding rows")
     return EmbeddingSet(
@@ -396,11 +400,7 @@ class RunConfig:
         return {"model": self.model.to_dict(), "train": self.train.to_dict()}
 
 
-_MODEL_KEYS = {
-    "dims", "blocks", "heads", "scheme", "sequence_length", "output_dim",
-    "ffn_multiplier", "spatial_positional", "temporal_positional", "dtype",
-    "active_stages",
-}
+_MODEL_KEYS = set(inspect.signature(GaitPTConfig.build).parameters)
 _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
 
 

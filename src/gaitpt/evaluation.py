@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ProtocolError, ShapeError, StatisticsError
 from .model import GaitPTConfig, GaitPTModel, with_stages
-from .skeleton import Condition, GaitSequence, PartitionScheme
-from .training import TrainConfig, train
+from .skeleton import Condition, GaitSequence, PartitionScheme, sequence_key
+from .training import TrainConfig, pairwise_distances, train
 
 CASIA_VIEWS = tuple(range(0, 181, 18))  # 0, 18, ..., 180
 GALLERY_SESSIONS = (1, 2, 3, 4)         # normal-walk sessions enrolled as gallery
@@ -72,13 +72,14 @@ def embed_sequence_set(model: GaitPTModel, seqs: Sequence[GaitSequence]) -> Embe
     short = [i for i, s in enumerate(seqs) if len(s) < window]
     if short:
         raise InputError(f"{len(short)} sequences are shorter than the {window}-frame window")
-    windows = np.stack([s.frames[:window] for s in seqs]).astype(model._np_dtype)
+    windows = np.stack([s.frames[:window] for s in seqs]).astype(model.config.np_dtype)
     emb = model.embed_arrays(windows)
-    keys = []
+    keys, seen = [], set()
     for i, s in enumerate(seqs):
-        key = getattr(s, "key", None) or f"{s.subject_id}-{s.condition.value}-{s.view:03d}-{s.session:02d}"
-        if key in keys:
+        key = s.key or sequence_key(s.subject_id, s.condition, s.view, s.session)
+        if key in seen:
             key = f"{key}#{i}"
+        seen.add(key)
         keys.append(key)
     return EmbeddingSet(
         keys=tuple(keys),
@@ -94,13 +95,6 @@ def embed_sequence_set(model: GaitPTModel, seqs: Sequence[GaitSequence]) -> Embe
 # rank-K retrieval
 # ---------------------------------------------------------------------------
 
-def _cross_distances(probe: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    # explicit differences: bit-identical to per-pair norm(a - b), so
-    # rankings are exactly reproducible by independent oracles
-    diff = probe[:, None, :] - gallery[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
 def rank_k_accuracy(gallery: EmbeddingSet, probe: EmbeddingSet, ks: Iterable[int]) -> dict[int, float]:
     """Fraction of probes whose subject appears among the k nearest gallery
     rows, for each k; nearest by Euclidean distance, ties by ascending key."""
@@ -109,7 +103,7 @@ def rank_k_accuracy(gallery: EmbeddingSet, probe: EmbeddingSet, ks: Iterable[int
         raise InputError(f"ranks must be >= 1, got {ks}")
     if len(gallery) == 0:
         raise ProtocolError("gallery is empty")
-    d = _cross_distances(probe.embeddings, gallery.embeddings)
+    d = pairwise_distances(probe.embeddings, gallery.embeddings)
     gkeys = np.array(gallery.keys)
     gsubj = np.array(gallery.subject_ids)
     hits = {k: 0 for k in ks}
@@ -431,8 +425,6 @@ def ablation_run(
 ) -> StudyResult:
     """Stage-activation ablation: one variant per stage subset."""
     subsets = [tuple(sorted(set(int(i) for i in s))) for s in stage_subsets]
-    if not subsets:
-        raise ConfigError("no stage subsets given")
     variants = [
         ("stages " + "+".join(map(str, s)), with_stages(model_config, s)) for s in subsets
     ]

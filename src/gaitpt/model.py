@@ -16,7 +16,7 @@ so the token path still reaches the body level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import numcore as nc
 from .errors import ConfigError, InputError, ShapeError
 from .numcore import AttentionWeights, Parameter, Tensor
-from .skeleton import JOINTS, GaitSequence, PartitionScheme, merge_plan, token_counts
+from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 
 DEFAULT_DIMS = (32, 64, 128, 256)
 INPUT_CHANNELS = 2
@@ -38,8 +38,19 @@ class StageConfig:
     dim: int
     blocks: int = 3
     heads: int = 4
-    has_spatial: bool = True
     active: bool = True
+
+    @property
+    def has_spatial(self) -> bool:
+        """The body-level stage (4) holds one token, so it has no spatial encoder."""
+        return self.index < 4
+
+    @property
+    def encoders(self) -> tuple[str, ...]:
+        """Encoder kinds this stage runs, in forward order."""
+        if not self.active:
+            return ()
+        return ("spatial", "temporal") if self.has_spatial else ("temporal",)
 
 
 @dataclass(frozen=True)
@@ -60,8 +71,6 @@ class GaitPTConfig:
             raise ConfigError("config needs stages indexed 1..4 in order")
         if not any(s.active for s in self.stages):
             raise ConfigError("at least one stage must be active")
-        if self.stages[3].has_spatial:
-            raise ConfigError("the body-level stage has no spatial encoder")
         if self.output_dim < 1:
             raise ConfigError(f"output_dim must be positive, got {self.output_dim}")
         if self.sequence_length < 1 or self.ffn_multiplier < 1:
@@ -102,7 +111,6 @@ class GaitPTConfig:
                 dim=int(dims[i]),
                 blocks=int(blocks[i]),
                 heads=int(heads[i]),
-                has_spatial=(i != 3),
                 active=(i + 1) in active,
             )
             for i in range(4)
@@ -126,7 +134,13 @@ class GaitPTConfig:
     def active_stages(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.stages if s.active)
 
+    @property
+    def np_dtype(self) -> np.dtype:
+        """The numpy dtype of parameters and inputs."""
+        return np.dtype(self.dtype)
+
     def to_dict(self) -> dict:
+        """The `build` arguments that rebuild this config."""
         return {
             "dims": list(self.dims),
             "blocks": [s.blocks for s in self.stages],
@@ -146,21 +160,13 @@ class GaitPTConfig:
         return GaitPTConfig.build(**d)
 
 
-def default_config(**overrides) -> GaitPTConfig:
-    return GaitPTConfig.build(**overrides)
-
-
 def with_stages(config: GaitPTConfig, active: Iterable[int]) -> GaitPTConfig:
     """Config with only `active` stages keeping their encoders.
 
     Merges still chain between deactivated stages, so token granularity and
     width advance exactly as in the full model.
     """
-    active = set(active)
-    if not active or not active.issubset({1, 2, 3, 4}):
-        raise ConfigError(f"active stages must be a nonempty subset of 1..4, got {sorted(active)}")
-    stages = tuple(replace(s, active=s.index in active) for s in config.stages)
-    return replace(config, stages=stages)
+    return GaitPTConfig.build(**{**config.to_dict(), "active_stages": active})
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +231,6 @@ class GaitPTModel:
         self.merge_plans = tuple(merge_plan(s, config.scheme) for s in (1, 2, 3))
         self.params: dict[str, Parameter] = {}
         self.class_layout: list[tuple[int, str, int]] = []
-        self._np_dtype = np.float32 if config.dtype == "float32" else np.float64
         self._build(np.random.default_rng(seed))
 
     # -- construction -------------------------------------------------------
@@ -233,7 +238,7 @@ class GaitPTModel:
     def _add(self, name: str, array: np.ndarray) -> None:
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name}")
-        self.params[name] = Parameter(name, Tensor(array.astype(self._np_dtype)))
+        self.params[name] = Parameter(name, Tensor(array.astype(self.config.np_dtype)))
 
     def _build(self, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -252,15 +257,12 @@ class GaitPTModel:
                 self._add(f"merge{s}.g{gi}.b", np.zeros(dims[s]))
 
         for stage in cfg.stages:
-            if not stage.active:
-                continue
-            c = stage.dim
-            tokens = counts[stage.index - 1]
-            if stage.has_spatial:
-                self._add_encoder(stage, "spatial", tokens, cfg.spatial_positional, rng)
-                self.class_layout.append((stage.index, "spatial", c))
-            self._add_encoder(stage, "temporal", cfg.sequence_length, cfg.temporal_positional, rng)
-            self.class_layout.append((stage.index, "temporal", c))
+            for kind in stage.encoders:
+                if kind == "spatial":
+                    self._add_encoder(stage, kind, counts[stage.index - 1], cfg.spatial_positional, rng)
+                else:
+                    self._add_encoder(stage, kind, cfg.sequence_length, cfg.temporal_positional, rng)
+                self.class_layout.append((stage.index, kind, stage.dim))
 
         concat_width = sum(width for _, _, width in self.class_layout)
         self._add("head.w", w(concat_width, cfg.output_dim))
@@ -324,11 +326,6 @@ class GaitPTModel:
 
     # -- forward pieces -------------------------------------------------------
 
-    def _stage(self, index: int) -> StageConfig:
-        if index < 1 or index > 4:
-            raise ConfigError(f"stage index must be 1..4, got {index}")
-        return self.config.stages[index - 1]
-
     def _with_class(self, x: Tensor, base: str, p: dict[str, Tensor]) -> Tensor:
         rows, t, c = x.shape
         cls = nc.broadcast_to(nc.reshape(p[f"{base}.cls"], (1, 1, c)), (rows, 1, c))
@@ -365,12 +362,12 @@ class GaitPTModel:
             x = nc.add(x, h)
         return x
 
-    def _coerce_feat(self, feat) -> tuple[Tensor, bool]:
-        t = feat if isinstance(feat, Tensor) else Tensor(np.asarray(feat, dtype=self._np_dtype))
+    def _batched(self, x) -> tuple[Tensor, bool]:
+        """`x` as a tensor of the model dtype; 3-d input gets a batch axis,
+        and the flag says so."""
+        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.config.np_dtype))
         if t.ndim == 3:
             return nc.reshape(t, (1,) + t.shape), True
-        if t.ndim != 4:
-            raise ShapeError(f"expected (frames, tokens, C) or batched, got {t.shape}")
         return t, False
 
     def spatial_attention_stage(self, feat, stage_index: int, params=None):
@@ -379,22 +376,7 @@ class GaitPTModel:
         Returns the per-frame token outputs (class stripped) and the mean
         over frames of the class outputs.
         """
-        stage = self._stage(stage_index)
-        if not stage.has_spatial:
-            raise ConfigError(f"stage {stage_index} has no spatial encoder")
-        if not stage.active:
-            raise ConfigError(f"stage {stage_index} is deactivated")
-        x, squeeze = self._coerce_feat(feat)
-        p = params or self.parameter_values()
-        b, n, t, c = x.shape
-        flat = nc.reshape(x, (b * n, t, c))
-        flat = self._with_class(flat, f"stage{stage_index}.spatial", p)
-        flat = self._encoder(flat, stage, "spatial", p)
-        cls = nc.mean(nc.reshape(flat[:, 0, :], (b, n, c)), axis=1)
-        toks = nc.reshape(flat[:, 1:, :], (b, n, t, c))
-        if squeeze:
-            return nc.reshape(toks, (n, t, c)), nc.reshape(cls, (c,))
-        return toks, cls
+        return self._attention_stage(feat, stage_index, "spatial", params)
 
     def temporal_attention_stage(self, feat, stage_index: int, params=None):
         """Attention through time for each token stream independently.
@@ -402,17 +384,33 @@ class GaitPTModel:
         Returns the token outputs (class stripped) and the mean over token
         streams of the class outputs.
         """
-        stage = self._stage(stage_index)
-        if not stage.active:
-            raise ConfigError(f"stage {stage_index} is deactivated")
-        x, squeeze = self._coerce_feat(feat)
+        return self._attention_stage(feat, stage_index, "temporal", params)
+
+    def _attention_stage(self, feat, stage_index: int, kind: str, params):
+        """One encoder over (batch, frames, tokens, C) features. Spatial
+        attention runs along the token axis of each frame; temporal attention
+        swaps the two middle axes first, so it runs along the frame axis of
+        each token, and swaps them back after."""
+        if not 1 <= stage_index <= 4:
+            raise ConfigError(f"stage index must be 1..4, got {stage_index}")
+        stage = self.config.stages[stage_index - 1]
+        if kind not in stage.encoders:
+            raise ConfigError(f"stage {stage_index} has no active {kind} encoder")
+        x, squeeze = self._batched(feat)
+        if x.ndim != 4:
+            raise ShapeError(f"expected (frames, tokens, C) or batched, got {x.shape}")
         p = params or self.parameter_values()
-        b, n, t, c = x.shape
-        flat = nc.reshape(nc.transpose(x, (0, 2, 1, 3)), (b * t, n, c))
-        flat = self._with_class(flat, f"stage{stage_index}.temporal", p)
-        flat = self._encoder(flat, stage, "temporal", p)
-        cls = nc.mean(nc.reshape(flat[:, 0, :], (b, t, c)), axis=1)
-        toks = nc.transpose(nc.reshape(flat[:, 1:, :], (b, t, n, c)), (0, 2, 1, 3))
+        n, t = x.shape[1:3]
+        if kind == "temporal":
+            x = nc.transpose(x, (0, 2, 1, 3))
+        b, rows, length, c = x.shape
+        flat = nc.reshape(x, (b * rows, length, c))
+        flat = self._with_class(flat, f"stage{stage_index}.{kind}", p)
+        flat = self._encoder(flat, stage, kind, p)
+        cls = nc.mean(nc.reshape(flat[:, 0, :], (b, rows, c)), axis=1)
+        toks = nc.reshape(flat[:, 1:, :], (b, rows, length, c))
+        if kind == "temporal":
+            toks = nc.transpose(toks, (0, 2, 1, 3))
         if squeeze:
             return nc.reshape(toks, (n, t, c)), nc.reshape(cls, (c,))
         return toks, cls
@@ -436,9 +434,7 @@ class GaitPTModel:
         after each stage's merge.
         """
         cfg = self.config
-        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self._np_dtype))
-        if t.ndim == 3:
-            t = nc.reshape(t, (1,) + t.shape)
+        t, _ = self._batched(x)
         if t.ndim != 4 or t.shape[2] != JOINTS or t.shape[3] != INPUT_CHANNELS:
             raise InputError(f"expected input of shape (B, n, {JOINTS}, {INPUT_CHANNELS}), got {t.shape}")
         if t.shape[1] != cfg.sequence_length:
@@ -454,23 +450,14 @@ class GaitPTModel:
                 feat = self._merge(feat, stage.index - 1, p)
             if trace is not None:
                 trace.append((stage.index, feat.shape[2], feat.shape[3]))
-            if not stage.active:
-                continue
-            if stage.has_spatial:
-                feat, cls = self.spatial_attention_stage(feat, stage.index, p)
+            for kind in stage.encoders:
+                encode = self.spatial_attention_stage if kind == "spatial" else self.temporal_attention_stage
+                feat, cls = encode(feat, stage.index, p)
                 class_outputs.append(cls)
-            feat, cls = self.temporal_attention_stage(feat, stage.index, p)
-            class_outputs.append(cls)
 
         merged = nc.concat(class_outputs, axis=-1)
         emb = nc.linear(merged, p["head.w"], p["head.b"])
         return _l2_normalize(emb)
-
-    def forward(self, seq) -> Tensor:
-        """Embed a single normalized sequence window into (output_dim,)."""
-        frames = seq.frames if isinstance(seq, GaitSequence) else np.asarray(seq)
-        emb = self.embed_batch(frames.reshape((1,) + tuple(frames.shape[-3:])))
-        return nc.reshape(emb, (self.config.output_dim,))
 
     def embed_arrays(self, windows: np.ndarray, chunk: int = 64) -> np.ndarray:
         """Inference-mode embeddings for stacked windows (N, n, 18, 2)."""

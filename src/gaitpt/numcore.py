@@ -107,9 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else _scalar_error(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -298,14 +295,6 @@ def relu(a) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
     mask = a.data > 0
     return _record(out, (a,), lambda g: (g * mask,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise NumericError("log needs strictly positive input")
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
 
 
 def gelu(a) -> Tensor:

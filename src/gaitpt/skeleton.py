@@ -1,5 +1,5 @@
-"""Pose and gait-sequence data model, anatomy-driven merge hierarchy,
-partitioning schemes, and sequence preprocessing.
+"""Gait-sequence data model, anatomy-driven merge hierarchy, partitioning
+schemes, and sequence preprocessing.
 
 Joint indices follow the 17-keypoint COCO convention (0 nose, 1/2 eyes,
 3/4 ears, 5/6 shoulders, 7/8 elbows, 9/10 wrists, 11/12 hips, 13/14 knees,
@@ -19,7 +19,6 @@ from .errors import ConfigError, DataFormatError, InputError
 JOINTS = 18
 RAW_JOINTS = 17
 NOSE = 0
-DUPLICATE_NOSE = 17
 
 
 class Condition(str, Enum):
@@ -95,24 +94,11 @@ _SCHEME_GROUPS[PartitionScheme.ALL] = _SCHEME_GROUPS[PartitionScheme.HUL] + tupl
 
 
 @dataclass(frozen=True)
-class Pose:
-    """One 18-joint 2D skeleton in normalized image units."""
-
-    joints: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.joints, dtype=np.float64)
-        if arr.shape != (JOINTS, 2):
-            raise DataFormatError(f"a pose needs shape (18, 2), got {arr.shape}")
-        object.__setattr__(self, "joints", arr)
-
-
-@dataclass(frozen=True)
 class GaitSequence:
     """A labeled time series of poses: frames has shape (n, 18, 2).
 
     `key` carries the on-disk record id when the sequence was loaded from a
-    file; evaluation falls back to subject/condition/view/session otherwise.
+    file; otherwise `sequence_key` builds one from the labels.
     """
 
     subject_id: str
@@ -135,12 +121,18 @@ class GaitSequence:
         return self.frames.shape[0]
 
 
-def duplicate_nose(raw17) -> Pose:
-    """Extend a 17-joint COCO pose to 18 joints by copying the nose."""
+def sequence_key(subject_id: str, condition: Condition, view: int, session: int) -> str:
+    """Default id of a sequence that carries no key of its own."""
+    return f"{subject_id}-{condition.value}-v{view:03d}-{session:02d}"
+
+
+def duplicate_nose(raw17) -> np.ndarray:
+    """Extend 17-joint COCO poses (..., 17, 2) to 18 joints by appending a
+    copy of the nose."""
     arr = np.asarray(raw17, dtype=np.float64)
-    if arr.shape != (RAW_JOINTS, 2):
-        raise DataFormatError(f"expected a 17-joint pose of shape (17, 2), got {arr.shape}")
-    return Pose(np.concatenate([arr, arr[NOSE : NOSE + 1]], axis=0))
+    if arr.shape[-2:] != (RAW_JOINTS, 2):
+        raise DataFormatError(f"expected 17-joint poses of shape (..., 17, 2), got {arr.shape}")
+    return np.concatenate([arr, arr[..., NOSE : NOSE + 1, :]], axis=-2)
 
 
 def normalize_sequence(seq: GaitSequence, frame_width: float) -> GaitSequence:
@@ -148,13 +140,6 @@ def normalize_sequence(seq: GaitSequence, frame_width: float) -> GaitSequence:
     if frame_width <= 0:
         raise InputError(f"frame_width must be > 0, got {frame_width}")
     return replace(seq, frames=seq.frames / float(frame_width))
-
-
-def filter_min_length(seqs, min_frames: int):
-    """Keep exactly the sequences with at least `min_frames` frames."""
-    if min_frames < 1:
-        raise InputError(f"min_frames must be >= 1, got {min_frames}")
-    return [s for s in seqs if len(s) >= min_frames]
 
 
 def sample_window(
@@ -167,7 +152,7 @@ def sample_window(
 
     `eval_head` takes the first `length` frames; `train_random` draws a
     uniform random start from the supplied generator. Sequences shorter
-    than `length` are an error; filter them out first.
+    than `length` are an error; drop them first.
     """
     n = len(seq)
     if n < length:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .skeleton import Condition, GaitSequence
+from .skeleton import Condition, GaitSequence, duplicate_nose, sequence_key
 
 SHIN_FOLLOW = 0.85     # shin angle as a fraction of the thigh angle
 WRIST_FOLLOW = 1.12    # wrist angle as a fraction of the upper-arm angle
@@ -182,16 +182,13 @@ def generate_sequence(
 
     vr = math.radians(view)
     cos_v, sin_v = math.cos(vr), math.sin(vr)
-    pose = np.empty((frames, 18, 2))
+    raw = np.empty((frames, 17, 2))
     for j in range(17):
-        pose[:, j, 0] = 0.5 + cos_v * (lat[j] + sway) + sin_v * sag[j]
-        pose[:, j, 1] = ys[j]
-    pose[:, 17] = pose[:, 0]
-
+        raw[:, j, 0] = 0.5 + cos_v * (lat[j] + sway) + sin_v * sag[j]
+        raw[:, j, 1] = ys[j]
     if ident.noise_level > 0:
-        pose[:, :17] += rng.normal(0.0, ident.noise_level, size=(frames, 17, 2))
-        pose[:, 17] = pose[:, 0]
-    np.clip(pose, 0.0, 1.0, out=pose)
+        raw += rng.normal(0.0, ident.noise_level, size=(frames, 17, 2))
+    pose = np.clip(duplicate_nose(raw), 0.0, 1.0)
 
     return GaitSequence(
         subject_id=subject_id,
@@ -266,10 +263,9 @@ def generate_split_sequences(cfg: SynthConfig) -> dict[str, list[GaitSequence]]:
             for condition in cfg.conditions:
                 for session in range(1, cfg.sequences_per_identity + 1):
                     rng = np.random.default_rng(next(child))
-                    key = f"{subject}-{condition.value}-v{view:03d}-{session:02d}"
                     seq = generate_sequence(
-                        ident, view, condition, cfg.frames, rng,
-                        subject_id=subject, session=session, key=key,
+                        ident, view, condition, cfg.frames, rng, subject_id=subject,
+                        session=session, key=sequence_key(subject, condition, view, session),
                     )
                     if session <= n_train:
                         splits["train"].append(seq)

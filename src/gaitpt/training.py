@@ -2,8 +2,10 @@
 identity-balanced P x K batches, AdamW, and a decaying cyclic learning rate.
 
 The loss gradient is computed on the embedding matrix and pushed back
-through the network in micro-batches, so peak memory stays near one
-micro-batch forward pass regardless of P x K.
+through the network in micro-batches. Every micro-batch's tape stays alive
+until the whole P x K batch is mined, so peak memory grows with P x K: one
+default-model step peaked at 1,553 MB against 382 MB for a single taped
+micro-batch (ROADMAP open item 3 bounds it by recomputing the forward).
 """
 
 from __future__ import annotations
@@ -68,10 +70,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
-
 
 @dataclass
 class OptimizerState:
@@ -128,14 +126,16 @@ def triplet_loss(
 # mining
 # ---------------------------------------------------------------------------
 
-def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix (numpy, not differentiable).
+def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Dense Euclidean distances from each row of `a` to each row of `b`
+    (default `a` itself); numpy, not differentiable.
 
     Computed from explicit differences, not the expanded quadratic form, so
-    each entry is bit-identical to norm(a - b); rankings derived from it
-    match per-pair oracles exactly. Memory is O(n^2 d): fine at batch scale.
+    each entry is bit-identical to norm(a_i - b_j); rankings derived from it
+    match per-pair oracles exactly. Memory is O(len(a) len(b) d).
     """
-    diff = embeddings[:, None, :] - embeddings[None, :, :]
+    b = a if b is None else b
+    diff = a[:, None, :] - b[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
@@ -284,7 +284,7 @@ def train(
                     sample_window(dataset[i], window, "train_random", rng).frames
                     for i in batch_idx
                 ]
-            ).astype(model._np_dtype)
+            ).astype(model.config.np_dtype)
             labels = [dataset[i].subject_id for i in batch_idx]
 
             lr = cyclic_lr(epoch if cfg.scheduler_per == "epoch" else iteration, cfg)

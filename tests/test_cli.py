@@ -128,6 +128,23 @@ def test_embed_writes_readable_embeddings(workdir, tmp_path, capsys):
     assert emb.embeddings.shape[1] == 16
 
 
+@pytest.mark.parametrize("field", ["frames", "frame_width"])
+def test_embed_rejects_non_finite_record_by_line(workdir, tmp_path, capsys, field):
+    rows = (workdir / "ds" / "probe.jsonl").read_text().splitlines()
+    bad = json.loads(rows[1])
+    if field == "frames":
+        bad["frames"][0][3][1] = float("nan")
+    else:
+        bad["frame_width"] = float("nan")
+    rows[1] = json.dumps(bad)
+    data = tmp_path / "nan.jsonl"
+    data.write_text("\n".join(rows) + "\n")
+    rc = main(["embed", "--data", str(data), "--ckpt", str(workdir / "model.ckpt"),
+               "--out", str(tmp_path / "emb.jsonl")])
+    assert rc == 3
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_casia_protocol_on_eleven_view_fixture(tmp_path, capsys):
     # records covering NM#1-6 + BG#1-2 + CL#1-2 at all 11 angles
     rng = np.random.default_rng(0)

@@ -10,8 +10,9 @@ from conftest import random_windows, tiny_config
 
 from gaitpt import dataio
 from gaitpt.errors import ConfigError, DataFormatError, IntegrityError
-from gaitpt.model import GaitPTConfig, GaitPTModel
-from gaitpt.skeleton import Condition
+from gaitpt.evaluation import EmbeddingSet
+from gaitpt.model import GaitPTConfig, GaitPTModel, StageConfig, with_stages
+from gaitpt.skeleton import Condition, PartitionScheme
 
 
 def make_record(key="r0", n=2, width=640.0, session=1):
@@ -230,6 +231,35 @@ def test_checkpoint_roundtrip_property_over_random_models(tmp_path):
             assert np.array_equal(p.value.data, loaded.params[name].value.data)
 
 
+def _buildable_configs():
+    base = dict(dims=(4, 8, 8, 16), blocks=1, heads=2, sequence_length=3, output_dim=4)
+    full = GaitPTConfig.build(**base)
+    for mask in range(1, 16):
+        yield with_stages(full, [i for i in (1, 2, 3, 4) if mask >> (i - 1) & 1])
+    for scheme in PartitionScheme:
+        yield GaitPTConfig.build(**base, scheme=scheme, active_stages=(2, 3))
+    yield GaitPTConfig.build(dims=(4, 8, 8, 16), blocks=(1, 2, 1, 2), heads=(1, 2, 4, 8),
+                             sequence_length=2, output_dim=3, ffn_multiplier=1,
+                             spatial_positional=False, temporal_positional=False, dtype="float64")
+    yield GaitPTConfig(
+        stages=tuple(StageConfig(i, d, blocks=1, heads=2, active=i != 2)
+                     for i, d in enumerate(base["dims"], start=1)),
+        sequence_length=3, output_dim=4,
+    )
+
+
+def test_every_buildable_config_roundtrips_through_checkpoint(tmp_path):
+    path = tmp_path / "cfg.ckpt"
+    for cfg in _buildable_configs():
+        model = GaitPTModel(cfg, seed=1)
+        dataio.save_checkpoint(model, path)
+        loaded = dataio.load_checkpoint(path, expected_config=cfg)
+        assert loaded.config == cfg
+        assert list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            assert np.array_equal(p.value.data, loaded.params[name].value.data)
+
+
 def test_checkpoint_roundtrip_float64(tmp_path):
     model = GaitPTModel(tiny_config(dtype="float64"), seed=9)
     path = tmp_path / "m64.ckpt"
@@ -245,8 +275,6 @@ def test_checkpoint_roundtrip_float64(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_embeddings_roundtrip(tmp_path):
-    from gaitpt.evaluation import EmbeddingSet
-
     emb = EmbeddingSet(
         keys=("a", "b"),
         subject_ids=("s0", "s1"),
@@ -263,6 +291,24 @@ def test_embeddings_roundtrip(tmp_path):
     assert back.conditions == emb.conditions
     assert np.array_equal(back.views, emb.views)
     assert np.array_equal(back.embeddings, emb.embeddings)
+
+
+_EMBEDDING_ROW = '{"key": "%s", "subject_id": "s0", "condition": "NM", "view": 0, "embedding": %s}\n'
+
+
+@pytest.mark.parametrize("blob, where", [
+    ((_EMBEDDING_ROW % ("a", "[0.1, 0.2]")).encode() + b"\xff\n", "byte offset 88"),
+    (_EMBEDDING_ROW % ("a", "[0.1, 0.2]") + _EMBEDDING_ROW % ("b", "[0.1, 0.2, 0.3]"), "line 2"),
+    (_EMBEDDING_ROW % ("a", "[0.1, 0.2]") + "\n" + _EMBEDDING_ROW % ("b", "[NaN, 0.2]"), "line 3"),
+], ids=["not-utf8", "ragged", "non-finite"])
+def test_read_embeddings_rejects_bad_rows_by_position(tmp_path, blob, where):
+    path = tmp_path / "emb.jsonl"
+    if isinstance(blob, str):
+        path.write_text(blob)
+    else:
+        path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=where):
+        dataio.read_embeddings(path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import fast_train_config, tiny_config, tiny_splits
+from conftest import fast_train_config, random_windows, tiny_config, tiny_splits
 
 from gaitpt.dataio import DatasetSplits
 from gaitpt.errors import ConfigError, InputError, ProtocolError, StatisticsError
@@ -14,6 +14,7 @@ from gaitpt.evaluation import (
     EmbeddingSet,
     ablation_run,
     casia_eval,
+    embed_sequence_set,
     grew_eval,
     partition_study,
     pearson_r,
@@ -21,7 +22,8 @@ from gaitpt.evaluation import (
     regularized_incomplete_beta,
     welch_t_test,
 )
-from gaitpt.skeleton import Condition, PartitionScheme
+from gaitpt.model import GaitPTModel
+from gaitpt.skeleton import Condition, GaitSequence, PartitionScheme
 
 
 def make_set(rows):
@@ -156,6 +158,13 @@ def casia_fixture(subject_positions, probe_overrides=None, conditions=("NM", "BG
 
 
 SUBJECTS4 = {"s0": [0.0, 0.0], "s1": [10.0, 0.0], "s2": [0.0, 10.0], "s3": [10.0, 10.0]}
+
+
+def test_embed_sequence_set_dedupes_default_keys():
+    frames = random_windows(3, 20)
+    seqs = [GaitSequence("s0", Condition.NM, 0, 1, f) for f in frames]
+    embset = embed_sequence_set(GaitPTModel(tiny_config(), seed=0), seqs)
+    assert embset.keys == ("s0-NM-v000-01", "s0-NM-v000-01#1", "s0-NM-v000-01#2")
 
 
 def test_casia_all_correct_gives_ones():

@@ -85,13 +85,13 @@ def test_embedding_is_unit_norm_and_deterministic():
 
 def test_forward_single_sequence_shape():
     model = tiny_model()
-    emb = model.forward(random_windows(1, 20)[0])
-    assert emb.shape == (32,)
+    emb = model.embed_batch(random_windows(1, 20)[0])
+    assert emb.shape == (1, 32)
 
 
 def test_forward_finite_on_all_zero_input():
     model = tiny_model()
-    emb = model.forward(np.zeros((20, 18, 2)))
+    emb = model.embed_batch(np.zeros((20, 18, 2)))
     assert np.isfinite(emb.data).all()
 
 

@@ -336,17 +336,6 @@ def test_grad_check_quadratic_is_nearly_exact():
     assert report.max_rel_err < 1e-9
 
 
-def test_grad_check_softmax_cross_entropy_toy():
-    target = np.array([1.0, 0.0, 0.0, 0.0])
-
-    def loss(x):
-        probs = nc.softmax(x, axis=-1)
-        return nc.neg(nc.tensor_sum(nc.mul(Tensor(target), nc.log(probs))))
-
-    report = nc.grad_check(loss, Tensor(np.array([0.2, -0.4, 1.1, 0.05])), tol=1e-6)
-    assert report.passed
-
-
 def test_grad_check_requires_float64():
     with pytest.raises(ConfigError):
         nc.grad_check(lambda x: nc.tensor_sum(x), Tensor(np.ones(3, dtype=np.float32)))

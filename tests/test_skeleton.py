@@ -9,9 +9,7 @@ from gaitpt.skeleton import (
     Condition,
     GaitSequence,
     PartitionScheme,
-    Pose,
     duplicate_nose,
-    filter_min_length,
     merge_plan,
     normalize_sequence,
     sample_window,
@@ -122,17 +120,6 @@ def test_normalize_rejects_bad_width():
         normalize_sequence(make_seq(), -3.0)
 
 
-def test_filter_min_length_boundary():
-    seqs = [make_seq(n=59), make_seq(n=60), make_seq(n=61)]
-    kept = filter_min_length(seqs, 60)
-    assert [len(s) for s in kept] == [60, 61]
-
-
-def test_filter_min_length_one_is_identity():
-    seqs = [make_seq(n=1), make_seq(n=5)]
-    assert filter_min_length(seqs, 1) == seqs
-
-
 def test_sample_window_whole_sequence():
     seq = make_seq(n=30)
     rng = np.random.default_rng(0)
@@ -169,8 +156,9 @@ def test_sample_window_too_short_and_bad_mode():
 def test_duplicate_nose_copies_joint_zero():
     raw = np.zeros((17, 2))
     raw[0] = (0.1, 0.2)
-    pose = duplicate_nose(raw)
-    assert np.array_equal(pose.joints[17], [0.1, 0.2])
+    joints = duplicate_nose(raw)
+    assert joints.shape == (18, 2)
+    assert np.array_equal(joints[17], [0.1, 0.2])
 
 
 def test_duplicate_nose_rejects_wrong_counts():
@@ -178,18 +166,20 @@ def test_duplicate_nose_rejects_wrong_counts():
         duplicate_nose(np.zeros((18, 2)))
     with pytest.raises(DataFormatError):
         duplicate_nose(np.zeros((16, 2)))
+    with pytest.raises(DataFormatError):
+        duplicate_nose(np.zeros((5, 17, 3)))
 
 
 def test_duplicate_nose_preserves_original_joints():
     rng = np.random.default_rng(2)
-    raw = rng.uniform(size=(17, 2))
-    pose = duplicate_nose(raw)
-    assert np.array_equal(pose.joints[:17], raw)
+    raw = rng.uniform(size=(4, 17, 2))
+    frames = duplicate_nose(raw)
+    assert frames.shape == (4, 18, 2)
+    assert np.array_equal(frames[:, :17], raw)
+    assert np.array_equal(frames[:, 17], raw[:, 0])
 
 
 def test_pose_and_sequence_validation():
-    with pytest.raises(DataFormatError):
-        Pose(np.zeros((17, 2)))
     with pytest.raises(DataFormatError):
         GaitSequence("s", Condition.NM, 0, 1, np.zeros((0, 18, 2)))
     with pytest.raises(DataFormatError):
