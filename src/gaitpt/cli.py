@@ -97,7 +97,12 @@ def cmd_train(args) -> int:
     if not splits.train:
         raise ConfigError(f"{args.data}: manifest has no train split")
     model = GaitPTModel(model_cfg, seed=train_cfg.seed)
-    train(model, splits.train, train_cfg, out_dir=args.checkpoint_dir)
+
+    def save_epoch(trained, entry):
+        dataio.save_checkpoint(trained, Path(args.checkpoint_dir) / f"epoch{entry['epoch']:03d}.ckpt")
+
+    train(model, splits.train, train_cfg,
+          on_epoch=save_epoch if args.checkpoint_dir is not None else None)
     dataio.save_checkpoint(model, args.out)
     return 0
 

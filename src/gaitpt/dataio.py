@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, IntegrityError
+from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
 from .skeleton import (
     RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence, sequence_key,
@@ -292,9 +293,14 @@ def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPT
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint header") from e
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise IntegrityError(f"{path}: format version {version} != supported {CHECKPOINT_VERSION}")
+    for field_name in ("payload_bytes", "crc32", "params"):
+        if field_name not in header:
+            raise DataFormatError(f"{path}: checkpoint header has no {field_name!r} field")
     if len(payload) != header["payload_bytes"]:
         raise IntegrityError(
             f"{path}: payload is {len(payload)} bytes, header promises {header['payload_bytes']}"
@@ -333,7 +339,7 @@ def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPT
 # embeddings
 # ---------------------------------------------------------------------------
 
-def write_embeddings(embset, path) -> Path:
+def write_embeddings(embset: EmbeddingSet, path) -> Path:
     path = Path(path)
     with open(path, "w") as fh:
         for i in range(len(embset)):
@@ -349,11 +355,9 @@ def write_embeddings(embset, path) -> Path:
     return path
 
 
-def read_embeddings(path):
+def read_embeddings(path) -> EmbeddingSet:
     """Parse a JSONL embedding file; every problem is reported with its line
     (or byte offset, for non-text files)."""
-    from .evaluation import EmbeddingSet
-
     path = Path(path)
     keys, subjects, conditions, views, sessions, vectors = [], [], [], [], [], []
     for lineno, obj in _jsonl_objects(path):

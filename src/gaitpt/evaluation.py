@@ -15,6 +15,7 @@ from io import StringIO
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.special
 
 from .errors import ConfigError, InputError, ProtocolError, ShapeError, StatisticsError
 from .model import GaitPTConfig, GaitPTModel, with_stages
@@ -104,17 +105,13 @@ def rank_k_accuracy(gallery: EmbeddingSet, probe: EmbeddingSet, ks: Iterable[int
     if len(gallery) == 0:
         raise ProtocolError("gallery is empty")
     d = pairwise_distances(probe.embeddings, gallery.embeddings)
-    gkeys = np.array(gallery.keys)
-    gsubj = np.array(gallery.subject_ids)
-    hits = {k: 0 for k in ks}
-    for i in range(len(probe)):
-        order = np.lexsort((gkeys, d[i]))
-        ranked = gsubj[order]
-        for k in ks:
-            if probe.subject_ids[i] in ranked[:k]:
-                hits[k] += 1
+    key_rank = np.broadcast_to(np.argsort(np.argsort(gallery.keys)), d.shape)
+    order = np.lexsort((key_rank, d), axis=-1)
+    match = np.array(gallery.subject_ids)[order] == np.array(probe.subject_ids)[:, None]
+    # rank of each probe's first hit; a probe with no hit never counts
+    first_hit = np.where(match.any(axis=1), match.argmax(axis=1), np.inf)
     total = max(1, len(probe))
-    return {k: hits[k] / total for k in ks}
+    return {k: int(np.sum(first_hit < k)) / total for k in ks}
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +129,6 @@ class EvalReport:
     probe_view_means: dict[str, np.ndarray] | None = None
     condition_means: dict[str, float] | None = None
     rank_table: dict[int, float] | None = None
-
-    @property
-    def mean_accuracy(self) -> float:
-        if self.condition_means:
-            return float(np.mean(list(self.condition_means.values())))
-        if self.rank_table:
-            return self.rank_table[min(self.rank_table)]
-        return float("nan")
 
     def to_dict(self) -> dict:
         out: dict = {"protocol": self.protocol}
@@ -238,53 +227,6 @@ def grew_eval(gallery: EmbeddingSet, probe: EmbeddingSet,
 # statistics
 # ---------------------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + aa / (c if abs(c) > tiny else tiny)
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + aa / (c if abs(c) > tiny else tiny)
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-16:
-            return h
-    raise StatisticsError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_two_sided_p(t: float, df: float) -> float:
-    """P(|T| >= |t|) for Student's t with `df` degrees of freedom."""
-    if df <= 0:
-        raise StatisticsError(f"degrees of freedom must be > 0, got {df}")
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-
-
 class WelchResult(NamedTuple):
     t: float
     df: float
@@ -312,7 +254,7 @@ def welch_t_test(xs, ys) -> WelchResult:
     df = (sx + sy) ** 2 / (
         (sx * sx) / (x.size - 1) + (sy * sy) / (y.size - 1)
     )
-    return WelchResult(t=float(t), df=float(df), p=float(student_t_two_sided_p(t, df)))
+    return WelchResult(t=float(t), df=float(df), p=float(2.0 * scipy.special.stdtr(df, -abs(t))))
 
 
 def pearson_r(xs, ys) -> float:

@@ -137,8 +137,8 @@ def duplicate_nose(raw17) -> np.ndarray:
 
 def normalize_sequence(seq: GaitSequence, frame_width: float) -> GaitSequence:
     """Divide both coordinates of every joint by the frame width."""
-    if frame_width <= 0:
-        raise InputError(f"frame_width must be > 0, got {frame_width}")
+    if not (np.isfinite(frame_width) and frame_width > 0):
+        raise InputError(f"frame_width must be finite and > 0, got {frame_width}")
     return replace(seq, frames=seq.frames / float(frame_width))
 
 

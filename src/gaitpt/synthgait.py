@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataio
 from .errors import ConfigError, InputError
 from .skeleton import Condition, GaitSequence, duplicate_nose, sequence_key
 
@@ -283,8 +284,6 @@ def build_dataset(cfg: SynthConfig, out_dir) -> Path:
     Returns the manifest path. Regenerating with the same config is
     byte-identical.
     """
-    from . import dataio
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_split_sequences(cfg)

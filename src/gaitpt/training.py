@@ -29,29 +29,24 @@ class TrainConfig:
     """Hyperparameters; the loss/schedule defaults are the reference setup."""
 
     margin: float = 0.02
-    distance: str = "euclidean"
     p: int = 8                 # identities per batch
     k: int = 4                 # sequences per identity
     lr_min: float = 1e-4
     lr_max: float = 1e-2
     gamma: float = 0.995       # cyclic amplitude decay
-    step_size: int = 15        # scheduler iterations per half-cycle
+    step_size: int = 15        # epochs per half-cycle of the learning rate
     weight_decay: float = 1e-5
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     epochs: int = 30
     seed: int = 0
-    hinge: bool = True
-    scheduler_per: str = "epoch"   # "epoch" or "iteration"
     steps_per_epoch: int | None = None
     micro_batch: int = 8
 
     def __post_init__(self):
         if self.margin <= 0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.distance != "euclidean":
-            raise ConfigError(f"unsupported distance {self.distance!r}")
         if not self.lr_min < self.lr_max:
             raise ConfigError(f"need lr_min < lr_max, got {self.lr_min} >= {self.lr_max}")
         if not 0 < self.gamma <= 1:
@@ -62,8 +57,6 @@ class TrainConfig:
             raise ConfigError(f"P x K batches need p >= 2 and k >= 2, got {self.p}x{self.k}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.scheduler_per not in ("epoch", "iteration"):
-            raise ConfigError(f"scheduler_per must be 'epoch' or 'iteration', got {self.scheduler_per!r}")
         if self.micro_batch < 1:
             raise ConfigError(f"micro_batch must be >= 1, got {self.micro_batch}")
 
@@ -102,7 +95,6 @@ def triplet_loss(
     positive,
     negative,
     margin: float = 0.02,
-    distance: str = "euclidean",
     hinge: bool = True,
 ) -> Tensor:
     """d(a,p) - d(a,n) + margin, hinged at zero by default.
@@ -111,8 +103,6 @@ def triplet_loss(
     averaged. The unhinged form (hinge=False) can go negative and exists for
     fidelity experiments only.
     """
-    if distance != "euclidean":
-        raise ConfigError(f"unsupported distance {distance!r}")
     a, p, n = (x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
                for x in (anchor, positive, negative))
     if not a.shape == p.shape == n.shape:
@@ -159,14 +149,10 @@ def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]
 
     d = pairwise_distances(emb)
     same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
-    triplets = []
-    for i in range(emb.shape[0]):
-        pos = np.where(same[i], d[i], -np.inf)
-        neg = np.where(~same[i], d[i], np.inf)
-        neg[i] = np.inf
-        triplets.append((i, int(np.argmax(pos)), int(np.argmin(neg))))
-    return triplets
+    pos = np.where(same, d, -np.inf)
+    np.fill_diagonal(pos, -np.inf)
+    neg = np.where(same, np.inf, d)
+    return list(zip(range(len(d)), np.argmax(pos, axis=1).tolist(), np.argmin(neg, axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +201,8 @@ def adamw_step(
 
 def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
     """Triangular wave between lr_min and lr_min + amplitude * gamma^iter,
-    with `step_size` iterations per half-cycle. Starts at lr_min."""
+    with `step_size` iterations per half-cycle. Starts at lr_min; `train`
+    steps it once per epoch."""
     if iteration < 0:
         raise InputError(f"iteration must be >= 0, got {iteration}")
     cycle = math.floor(1 + iteration / (2.0 * cfg.step_size))
@@ -239,15 +226,15 @@ def train(
     model: GaitPTModel,
     dataset: list[GaitSequence],
     cfg: TrainConfig,
-    out_dir=None,
     log_stream=None,
     on_epoch=None,
 ) -> list[dict]:
     """Train in place; returns the per-epoch log (also printed as JSON lines).
 
-    `dataset` holds normalized sequences at least one window long. Each epoch
-    writes a checkpoint under `out_dir` when given. `on_epoch(model, entry)`
-    may return True to stop early. Deterministic for a fixed cfg.seed.
+    `dataset` holds normalized sequences at least one window long. After
+    each epoch `on_epoch(model, entry)` is called with the epoch's log entry
+    (to write a checkpoint, say) and may return True to stop early.
+    Deterministic for a fixed cfg.seed.
     """
     window = model.config.sequence_length
     groups = _group_by_subject(dataset)
@@ -266,9 +253,9 @@ def train(
     state = OptimizerState.for_params(params)
     log: list[dict] = []
     stream = log_stream if log_stream is not None else sys.stdout
-    iteration = 0
 
     for epoch in range(cfg.epochs):
+        lr = cyclic_lr(epoch, cfg)
         losses, active = [], []
         for _ in range(steps):
             picked = rng.choice(len(subjects), size=cfg.p, replace=False)
@@ -286,27 +273,20 @@ def train(
                 ]
             ).astype(model.config.np_dtype)
             labels = [dataset[i].subject_id for i in batch_idx]
-
-            lr = cyclic_lr(epoch if cfg.scheduler_per == "epoch" else iteration, cfg)
             loss_value, active_fraction = _train_step(
                 model, windows, labels, cfg, state, lr
             )
             losses.append(loss_value)
             active.append(active_fraction)
-            iteration += 1
 
         entry = {
             "epoch": epoch,
-            "lr": cyclic_lr(epoch if cfg.scheduler_per == "epoch" else iteration - 1, cfg),
+            "lr": lr,
             "mean_loss": float(np.mean(losses)),
             "active_triplets": float(np.mean(active)),
         }
         log.append(entry)
         print(json.dumps(entry), file=stream)
-        if out_dir is not None:
-            from . import dataio
-
-            dataio.save_checkpoint(model, f"{out_dir}/epoch{epoch:03d}.ckpt")
         if on_epoch is not None and on_epoch(model, entry):
             break
     return log
@@ -342,7 +322,6 @@ def _train_step(
             nc.index_select(emb_leaf, 0, p_idx),
             nc.index_select(emb_leaf, 0, n_idx),
             margin=cfg.margin,
-            hinge=cfg.hinge,
         )
         nc.backward(loss)
     cotangent = emb_leaf.grad.data.astype(embeddings.dtype)

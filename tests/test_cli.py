@@ -85,6 +85,32 @@ def test_train_stage_subset_and_scheme(workdir, tmp_path, capsys):
     assert not any(".spatial." in n for n in model.params)
 
 
+def test_train_checkpoint_dir_writes_one_file_per_epoch(workdir, tmp_path):
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    rc = main(["train", "--data", str(workdir / "ds" / "manifest.json"),
+               "--config", str(workdir / "cfg.json"), "--out", str(tmp_path / "final.ckpt"),
+               "--epochs", "3", "--checkpoint-dir", str(ckpts), "--seed", "2"])
+    assert rc == 0
+    names = sorted(p.name for p in ckpts.iterdir())
+    assert names == ["epoch000.ckpt", "epoch001.ckpt", "epoch002.ckpt"]
+    for name in names:
+        dataio.load_checkpoint(ckpts / name)
+    assert (ckpts / names[-1]).read_bytes() == (tmp_path / "final.ckpt").read_bytes()
+
+
+def test_embed_checkpoint_without_crc_exits_3(workdir, tmp_path, capsys):
+    header_line, _, payload = (workdir / "model.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    del header["crc32"]
+    ckpt = tmp_path / "no_crc.ckpt"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    rc = main(["embed", "--data", str(workdir / "ds" / "probe.jsonl"), "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "emb.jsonl")])
+    assert rc == 3
+    assert "crc32" in capsys.readouterr().err
+
+
 def test_train_default_uses_all_stages(workdir):
     model = dataio.load_checkpoint(workdir / "model.ckpt")
     assert model.config.active_stages == (1, 2, 3, 4)

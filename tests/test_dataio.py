@@ -193,6 +193,23 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         dataio.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field", ["payload_bytes", "crc32", "params", None])
+def test_checkpoint_header_gaps_name_file_and_field(tmp_path, field):
+    path = tmp_path / "m.ckpt"
+    dataio.save_checkpoint(GaitPTModel(tiny_config(), seed=6), path)
+    header_line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    if field is None:  # valid JSON, but not an object
+        header, expected = [header], "not a JSON object"
+    else:
+        del header[field]
+        expected = repr(field)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(DataFormatError, match=expected) as err:
+        dataio.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_config_mismatch_rejected(tmp_path):
     model = GaitPTModel(tiny_config(), seed=7)
     path = tmp_path / "m.ckpt"

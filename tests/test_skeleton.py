@@ -114,10 +114,9 @@ def test_normalize_is_linear():
 
 
 def test_normalize_rejects_bad_width():
-    with pytest.raises(InputError):
-        normalize_sequence(make_seq(), 0.0)
-    with pytest.raises(InputError):
-        normalize_sequence(make_seq(), -3.0)
+    for width in (float("nan"), float("inf"), 0.0, -1.0, -3.0):
+        with pytest.raises(InputError, match="finite and > 0"):
+            normalize_sequence(make_seq(), width)
 
 
 def test_sample_window_whole_sequence():

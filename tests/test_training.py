@@ -10,6 +10,7 @@ import pytest
 from conftest import fast_train_config, tiny_config, tiny_splits
 
 from gaitpt import numcore as nc
+from gaitpt.dataio import config_from_dict
 from gaitpt.errors import ConfigError, SamplingError, ShapeError
 from gaitpt.model import GaitPTModel
 from gaitpt.numcore import GradTape, Parameter, Tensor
@@ -278,7 +279,6 @@ def test_train_config_validation():
         TrainConfig(step_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(k=1)
-    with pytest.raises(ConfigError):
-        TrainConfig(distance="cosine")
-    with pytest.raises(ConfigError):
-        TrainConfig(scheduler_per="batch")
+    for key, value in (("distance", "euclidean"), ("hinge", True), ("scheduler_per", "epoch")):
+        with pytest.raises(ConfigError, match=f"unknown config key: train.{key}$"):
+            config_from_dict({"train": {key: value}})
