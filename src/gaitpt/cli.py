@@ -49,12 +49,8 @@ def _load_run_config(args) -> dataio.RunConfig:
     return cfg
 
 
-def _seed_of(args, cfg: dataio.RunConfig | None = None) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cfg is not None:
-        return cfg.train.seed
-    return 0
+def _seed_of(args) -> int:
+    return 0 if args.seed is None else args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +82,7 @@ def cmd_train(args) -> int:
     run = _load_run_config(args)
     model_cfg = run.model
     if args.scheme:
-        model_cfg = replace(model_cfg, scheme=PartitionScheme(args.scheme))
+        model_cfg = replace(model_cfg, scheme=args.scheme)
     if args.stages:
         model_cfg = with_stages(model_cfg, _int_list(args.stages))
     train_cfg = run.train
@@ -139,7 +135,7 @@ def cmd_ablate(args) -> int:
     subsets = [_int_list(part) for part in args.subsets.split("|") if part.strip()]
     splits = dataio.load_split_sequences(args.data)
     result = evaluation.ablation_run(
-        splits, subsets, runs=args.runs, seed=_seed_of(args, run),
+        splits, subsets, runs=args.runs, seed=run.train.seed,
         model_config=run.model, train_config=run.train,
     )
     _print_study(result, args.json)
@@ -148,10 +144,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_partition_study(args) -> int:
     run = _load_run_config(args)
-    schemes = [PartitionScheme(s.strip()) for s in args.schemes.split(",")]
+    schemes = [s.strip() for s in args.schemes.split(",")]
     splits = dataio.load_split_sequences(args.data)
     result = evaluation.partition_study(
-        splits, runs=args.runs, seed=_seed_of(args, run),
+        splits, runs=args.runs, seed=run.train.seed,
         model_config=run.model, train_config=run.train, schemes=schemes,
     )
     _print_study(result, args.json)

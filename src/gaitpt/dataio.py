@@ -9,10 +9,9 @@ order, guarded by a length check and a CRC32.
 
 from __future__ import annotations
 
-import inspect
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -317,17 +316,23 @@ def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPT
             f"{path}: checkpoint config {config.to_dict()} does not match requested {expected_config.to_dict()}"
         )
 
+    table = header["params"]
+    if not (isinstance(table, list) and all(
+        isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
+        and isinstance(row[1], list) and all(type(n) is int and n >= 0 for n in row[1])
+        for row in table
+    )):
+        raise DataFormatError(f"{path}: checkpoint 'params' is not a list of [name, shape] pairs")
     model = GaitPTModel(config, seed=0)
     dtype = config.np_dtype.newbyteorder("<")
-    header_names = [n for n, _ in header["params"]]
-    if header_names != list(model.params):
+    if [name for name, _ in table] != list(model.params):
         raise IntegrityError(f"{path}: parameter table does not match the config's parameters")
     offset = 0
-    for name, shape in header["params"]:
+    for name, shape in table:
         p = model.params[name]
         if tuple(shape) != p.value.shape:
             raise IntegrityError(f"{path}: parameter {name} has shape {shape}, expected {p.value.shape}")
-        nbytes = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
+        nbytes = int(np.prod(shape)) * dtype.itemsize
         chunk = payload[offset : offset + nbytes]
         arr = np.frombuffer(chunk, dtype=dtype).reshape(shape)
         p.value.data[...] = arr
@@ -404,8 +409,8 @@ class RunConfig:
         return {"model": self.model.to_dict(), "train": self.train.to_dict()}
 
 
-_MODEL_KEYS = set(inspect.signature(GaitPTConfig.build).parameters)
-_TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
+_MODEL_KEYS = {f.name for f in fields(GaitPTConfig)}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def config_from_dict(obj: dict) -> RunConfig:
@@ -424,14 +429,10 @@ def config_from_dict(obj: dict) -> RunConfig:
         for key in set(got) - allowed:
             raise ConfigError(f"unknown config key: {section}.{key}")
     try:
-        model_cfg = GaitPTConfig.build(**model_obj)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"model config: {e}") from e
-    try:
         train_cfg = TrainConfig(**train_obj)
-    except TypeError as e:
+    except TypeError as e:  # a float field holding a non-number
         raise ConfigError(f"train config: {e}") from e
-    return RunConfig(model=model_cfg, train=train_cfg)
+    return RunConfig(model=GaitPTConfig(**model_obj), train=train_cfg)
 
 
 def load_config(path) -> RunConfig:

@@ -5,6 +5,8 @@ data/protocol problems exit 3, anything else is treated as an internal
 invariant violation and exits 4.
 """
 
+import operator
+
 
 class GaitError(Exception):
     """Base class for all errors raised by this package."""
@@ -12,6 +14,19 @@ class GaitError(Exception):
 
 class ConfigError(GaitError):
     """Invalid configuration or API usage (bad flags, bad hyperparameters)."""
+
+
+def config_int(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int >= `minimum`. Only what `operator.index` accepts
+    (Python and numpy integers) is an integer; anything else raises a
+    ConfigError naming `name`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if n < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {n}")
+    return n
 
 
 class InputError(GaitError, ValueError):

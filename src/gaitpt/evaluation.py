@@ -366,10 +366,8 @@ def ablation_run(
     train_config: TrainConfig,
 ) -> StudyResult:
     """Stage-activation ablation: one variant per stage subset."""
-    subsets = [tuple(sorted(set(int(i) for i in s))) for s in stage_subsets]
-    variants = [
-        ("stages " + "+".join(map(str, s)), with_stages(model_config, s)) for s in subsets
-    ]
+    configs = [with_stages(model_config, s) for s in stage_subsets]
+    variants = [("stages " + "+".join(map(str, c.active_stages)), c) for c in configs]
     return config_study(dataset, variants, runs, seed, train_config)
 
 
@@ -379,11 +377,9 @@ def partition_study(
     seed: int,
     model_config: GaitPTConfig,
     train_config: TrainConfig,
-    schemes: Sequence[PartitionScheme] = tuple(PartitionScheme),
+    schemes: Sequence[PartitionScheme | str] = tuple(PartitionScheme),
 ) -> StudyResult:
     """Limb-grouping study: one variant per partitioning scheme."""
-    variants = [
-        (scheme.value, _dc_replace(model_config, scheme=PartitionScheme(scheme)))
-        for scheme in schemes
-    ]
+    configs = [_dc_replace(model_config, scheme=s) for s in schemes]
+    variants = [(c.scheme.value, c) for c in configs]
     return config_study(dataset, variants, runs, seed, train_config)

@@ -16,13 +16,13 @@ so the token path still reaches the body level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable
 
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, config_int
 from .numcore import AttentionWeights, Parameter, Tensor
 from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 
@@ -53,11 +53,27 @@ class StageConfig:
         return ("spatial", "temporal") if self.has_spatial else ("temporal",)
 
 
+def _four_ints(name: str, value, scalar_ok: bool) -> tuple[int, ...]:
+    """Four positive ints, one per stage; with `scalar_ok`, one integer
+    stands for all four."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        if len(value) == 4:
+            return tuple(config_int(f"{name}[{i}]", v) for i, v in enumerate(value))
+    elif scalar_ok:
+        return (config_int(name, value),) * 4
+    raise ConfigError(f"{name} takes {'one integer or ' if scalar_ok else ''}four integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaitPTConfig:
-    """Wiring of the full pyramid; see `GaitPTConfig.build` for defaults."""
+    """Wiring of the full pyramid. `blocks` and `heads` take one integer or
+    four, one per stage; `active_stages` names the stages that keep their
+    encoders. Fields are normalised, so equal wirings compare equal."""
 
-    stages: tuple[StageConfig, ...]
+    dims: tuple[int, ...] = DEFAULT_DIMS
+    blocks: int | tuple[int, ...] = 3
+    heads: int | tuple[int, ...] = 4
+    active_stages: tuple[int, ...] = (1, 2, 3, 4)
     scheme: PartitionScheme = PartitionScheme.HUL
     sequence_length: int = 30
     output_dim: int = 256
@@ -67,72 +83,42 @@ class GaitPTConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if len(self.stages) != 4 or [s.index for s in self.stages] != [1, 2, 3, 4]:
-            raise ConfigError("config needs stages indexed 1..4 in order")
-        if not any(s.active for s in self.stages):
-            raise ConfigError("at least one stage must be active")
-        if self.output_dim < 1:
-            raise ConfigError(f"output_dim must be positive, got {self.output_dim}")
-        if self.sequence_length < 1 or self.ffn_multiplier < 1:
-            raise ConfigError("sequence_length and ffn_multiplier must be >= 1")
+        for name in ("dims", "blocks", "heads"):
+            object.__setattr__(self, name, _four_ints(name, getattr(self, name), name != "dims"))
+        if not isinstance(self.active_stages, Iterable):
+            raise ConfigError(f"active_stages must be a list of stages, got {self.active_stages!r}")
+        active = sorted({config_int("active_stages", s) for s in self.active_stages})
+        if not active or active[-1] > 4:
+            raise ConfigError(f"active_stages must be a nonempty subset of 1..4, got {active}")
+        object.__setattr__(self, "active_stages", tuple(active))
+        try:
+            object.__setattr__(self, "scheme", PartitionScheme(self.scheme))
+        except (TypeError, ValueError):
+            raise ConfigError(f"unknown scheme {self.scheme!r}") from None
+        for name in ("sequence_length", "output_dim", "ffn_multiplier"):
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         for s in self.stages:
-            if s.dim < 1 or s.blocks < 1 or s.heads < 1:
-                raise ConfigError(f"stage {s.index}: dim/blocks/heads must be positive")
             if s.dim % s.heads != 0:
                 raise ConfigError(f"stage {s.index}: width {s.dim} not divisible by {s.heads} heads")
 
-    @staticmethod
-    def build(
-        dims: Sequence[int] = DEFAULT_DIMS,
-        blocks: int | Sequence[int] = 3,
-        heads: int | Sequence[int] = 4,
-        scheme: PartitionScheme | str = PartitionScheme.HUL,
-        sequence_length: int = 30,
-        output_dim: int = 256,
-        ffn_multiplier: int = 4,
-        spatial_positional: bool = True,
-        temporal_positional: bool = True,
-        dtype: str = "float32",
-        active_stages: Iterable[int] = (1, 2, 3, 4),
-    ) -> "GaitPTConfig":
-        """Assemble a config from per-stage scalars or 4-element sequences."""
-        if len(dims) != 4:
-            raise ConfigError(f"need 4 stage dims, got {list(dims)}")
-        blocks = [blocks] * 4 if isinstance(blocks, int) else list(blocks)
-        heads = [heads] * 4 if isinstance(heads, int) else list(heads)
-        active = set(active_stages)
-        if not active or not active.issubset({1, 2, 3, 4}):
-            raise ConfigError(f"active stages must be a nonempty subset of 1..4, got {sorted(active)}")
-        stages = tuple(
-            StageConfig(
-                index=i + 1,
-                dim=int(dims[i]),
-                blocks=int(blocks[i]),
-                heads=int(heads[i]),
-                active=(i + 1) in active,
-            )
-            for i in range(4)
-        )
-        return GaitPTConfig(
-            stages=stages,
-            scheme=PartitionScheme(scheme),
-            sequence_length=sequence_length,
-            output_dim=output_dim,
-            ffn_multiplier=ffn_multiplier,
-            spatial_positional=spatial_positional,
-            temporal_positional=temporal_positional,
-            dtype=dtype,
-        )
+    @classmethod
+    def build(cls, **kwargs) -> "GaitPTConfig":
+        """The constructor under its older name."""
+        return cls(**kwargs)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GaitPTConfig":
+        return cls(**d)
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.stages)
-
-    @property
-    def active_stages(self) -> tuple[int, ...]:
-        return tuple(s.index for s in self.stages if s.active)
+    def stages(self) -> tuple[StageConfig, ...]:
+        """The per-stage view the model reads."""
+        return tuple(
+            StageConfig(i, dim, blocks, heads, i in self.active_stages)
+            for i, dim, blocks, heads in zip((1, 2, 3, 4), self.dims, self.blocks, self.heads)
+        )
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -140,24 +126,10 @@ class GaitPTConfig:
         return np.dtype(self.dtype)
 
     def to_dict(self) -> dict:
-        """The `build` arguments that rebuild this config."""
-        return {
-            "dims": list(self.dims),
-            "blocks": [s.blocks for s in self.stages],
-            "heads": [s.heads for s in self.stages],
-            "active_stages": list(self.active_stages),
-            "scheme": self.scheme.value,
-            "sequence_length": self.sequence_length,
-            "output_dim": self.output_dim,
-            "ffn_multiplier": self.ffn_multiplier,
-            "spatial_positional": self.spatial_positional,
-            "temporal_positional": self.temporal_positional,
-            "dtype": self.dtype,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "GaitPTConfig":
-        return GaitPTConfig.build(**d)
+        """The fields as JSON values; `from_dict` rebuilds the config."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({k: list(out[k]) for k in ("dims", "blocks", "heads", "active_stages")})
+        return {**out, "scheme": self.scheme.value}
 
 
 def with_stages(config: GaitPTConfig, active: Iterable[int]) -> GaitPTConfig:
@@ -166,7 +138,7 @@ def with_stages(config: GaitPTConfig, active: Iterable[int]) -> GaitPTConfig:
     Merges still chain between deactivated stages, so token granularity and
     width advance exactly as in the full model.
     """
-    return GaitPTConfig.build(**{**config.to_dict(), "active_stages": active})
+    return replace(config, active_stages=active)
 
 
 # ---------------------------------------------------------------------------

@@ -199,13 +199,13 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    """Attach `out` to the active tape when any input tracks gradients."""
+    """Attach `out` to the active tape when any input tracks gradients;
+    with no tape active, `out` is returned untouched."""
     tape = _active_tape()
-    if any(t.requires_grad for t in inputs):
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        if tape is not None:
-            tape._nodes.append(_Node(out, inputs, vjp))
-            out._tape = tape
+        tape._nodes.append(_Node(out, inputs, vjp))
+        out._tape = tape
     return out
 
 
@@ -594,16 +594,14 @@ def backward_from(output: Tensor, cotangent: np.ndarray) -> None:
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = gi
-                    holders[key] = t
+                    if t._tape is not tape:  # this tape's outputs pass g on at their node
+                        holders[key] = t
         # release the record as we go so peak memory stays near the forward pass
         node.out = node.inputs = node.vjp = None
     tape._nodes.clear()
 
     for key, t in holders.items():
-        g = grads.get(key)
-        if g is None:
-            continue  # produced mid-tape, already consumed
-        g = g.reshape(t.shape)
+        g = grads[key].reshape(t.shape)
         t.grad = Tensor(g) if t.grad is None else Tensor(t.grad.data + g)
 
 

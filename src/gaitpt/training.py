@@ -4,7 +4,7 @@ identity-balanced P x K batches, AdamW, and a decaying cyclic learning rate.
 The loss gradient is computed on the embedding matrix and pushed back
 through the network in micro-batches. Every micro-batch's tape stays alive
 until the whole P x K batch is mined, so peak memory grows with P x K: one
-default-model step peaked at 1,553 MB against 382 MB for a single taped
+default-model step peaked at 1,535 MB against 382 MB for a single taped
 micro-batch (ROADMAP open item 3 bounds it by recomputing the forward).
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, InputError, SamplingError, ShapeError
+from .errors import ConfigError, InputError, SamplingError, ShapeError, config_int
 from .model import GaitPTModel
 from .numcore import GradTape, Parameter, Tensor
 from .skeleton import GaitSequence, sample_window
@@ -45,20 +45,17 @@ class TrainConfig:
     micro_batch: int = 8
 
     def __post_init__(self):
+        for name, minimum in (("p", 2), ("k", 2), ("step_size", 1), ("epochs", 1),
+                              ("seed", 0), ("micro_batch", 1)):
+            setattr(self, name, config_int(name, getattr(self, name), minimum))
+        if self.steps_per_epoch is not None:
+            self.steps_per_epoch = config_int("steps_per_epoch", self.steps_per_epoch)
         if self.margin <= 0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
         if not self.lr_min < self.lr_max:
             raise ConfigError(f"need lr_min < lr_max, got {self.lr_min} >= {self.lr_max}")
         if not 0 < self.gamma <= 1:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.step_size < 1:
-            raise ConfigError(f"step_size must be >= 1, got {self.step_size}")
-        if self.p < 2 or self.k < 2:
-            raise ConfigError(f"P x K batches need p >= 2 and k >= 2, got {self.p}x{self.k}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.micro_batch < 1:
-            raise ConfigError(f"micro_batch must be >= 1, got {self.micro_batch}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -111,6 +111,27 @@ def test_embed_checkpoint_without_crc_exits_3(workdir, tmp_path, capsys):
     assert "crc32" in capsys.readouterr().err
 
 
+def test_embed_checkpoint_with_malformed_param_table_exits_3(workdir, tmp_path, capsys):
+    header_line, _, payload = (workdir / "model.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["params"] = 5
+    ckpt = tmp_path / "bad_params.ckpt"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    rc = main(["embed", "--data", str(workdir / "ds" / "probe.jsonl"), "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "emb.jsonl")])
+    assert rc == 3
+    assert "'params'" in capsys.readouterr().err
+
+
+def test_train_config_with_two_block_counts_exits_2(workdir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {**TINY_RUN_CONFIG["model"], "blocks": [1, 2]}}))
+    rc = main(["train", "--data", str(workdir / "ds" / "manifest.json"),
+               "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 2
+    assert "blocks takes one integer or four" in capsys.readouterr().err
+
+
 def test_train_default_uses_all_stages(workdir):
     model = dataio.load_checkpoint(workdir / "model.ckpt")
     assert model.config.active_stages == (1, 2, 3, 4)

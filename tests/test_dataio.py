@@ -11,8 +11,9 @@ from conftest import random_windows, tiny_config
 from gaitpt import dataio
 from gaitpt.errors import ConfigError, DataFormatError, IntegrityError
 from gaitpt.evaluation import EmbeddingSet
-from gaitpt.model import GaitPTConfig, GaitPTModel, StageConfig, with_stages
+from gaitpt.model import GaitPTConfig, GaitPTModel, with_stages
 from gaitpt.skeleton import Condition, PartitionScheme
+from gaitpt.training import TrainConfig
 
 
 def make_record(key="r0", n=2, width=640.0, session=1):
@@ -193,7 +194,16 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         dataio.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field", ["payload_bytes", "crc32", "params", None])
+_BAD_PARAM_TABLES = {
+    "params=5": 5,
+    "params=[[name]]": [["input_proj.w"]],
+    "params=[[3, shape]]": [[3, [2, 8]]],
+    "params=[[name, [2.5, 8]]]": [["input_proj.w", [2.5, 8]]],
+    "params=[[name, [-2, 8]]]": [["input_proj.w", [-2, 8]]],
+}
+
+
+@pytest.mark.parametrize("field", ["payload_bytes", "crc32", "params", None, *_BAD_PARAM_TABLES])
 def test_checkpoint_header_gaps_name_file_and_field(tmp_path, field):
     path = tmp_path / "m.ckpt"
     dataio.save_checkpoint(GaitPTModel(tiny_config(), seed=6), path)
@@ -201,6 +211,9 @@ def test_checkpoint_header_gaps_name_file_and_field(tmp_path, field):
     header = json.loads(header_line)
     if field is None:  # valid JSON, but not an object
         header, expected = [header], "not a JSON object"
+    elif field in _BAD_PARAM_TABLES:
+        header["params"] = _BAD_PARAM_TABLES[field]
+        expected = r"'params' is not a list of \[name, shape\] pairs"
     else:
         del header[field]
         expected = repr(field)
@@ -258,11 +271,7 @@ def _buildable_configs():
     yield GaitPTConfig.build(dims=(4, 8, 8, 16), blocks=(1, 2, 1, 2), heads=(1, 2, 4, 8),
                              sequence_length=2, output_dim=3, ffn_multiplier=1,
                              spatial_positional=False, temporal_positional=False, dtype="float64")
-    yield GaitPTConfig(
-        stages=tuple(StageConfig(i, d, blocks=1, heads=2, active=i != 2)
-                     for i, d in enumerate(base["dims"], start=1)),
-        sequence_length=3, output_dim=4,
-    )
+    yield GaitPTConfig(**base, active_stages=(1, 3, 4))
 
 
 def test_every_buildable_config_roundtrips_through_checkpoint(tmp_path):
@@ -355,6 +364,46 @@ def test_config_rejects_unknown_keys_with_path():
         dataio.config_from_dict({"model": {"depth": 3}})
     with pytest.raises(ConfigError, match="extra"):
         dataio.config_from_dict({"extra": {}})
+
+
+def test_model_keys_are_the_config_fields_in_to_dict_order():
+    assert set(GaitPTConfig().to_dict()) == dataio._MODEL_KEYS
+    assert list(GaitPTConfig().to_dict()) == [
+        "dims", "blocks", "heads", "active_stages", "scheme", "sequence_length",
+        "output_dim", "ffn_multiplier", "spatial_positional", "temporal_positional", "dtype",
+    ]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "blocks", [1, 2]),
+    ("model", "heads", [1, 2, 4]),
+    ("model", "blocks", 1.5),
+    ("model", "dims", [8.5, 16, 32, 64]),
+    ("model", "dims", 32),
+    ("model", "output_dim", 2.5),
+    ("model", "sequence_length", 2.5),
+    ("model", "ffn_multiplier", 2.5),
+    ("model", "active_stages", [1, 2.0]),
+    ("model", "active_stages", 4),
+    ("model", "scheme", "NOPE"),
+    ("train", "micro_batch", 2.5),
+    ("train", "p", "8"),
+    ("train", "epochs", None),
+    ("train", "steps_per_epoch", 1.5),
+    ("train", "seed", -1),
+])
+def test_config_from_dict_names_the_bad_field(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        dataio.config_from_dict({section: {key: value}})
+
+
+def test_config_accepts_numpy_integers_as_python_ints():
+    cfg = GaitPTConfig(dims=np.array([8, 16, 32, 64]), blocks=np.int64(1), heads=(2, 2, 2, np.int32(2)),
+                       active_stages={np.int64(4), 1}, sequence_length=np.int16(20), output_dim=np.uint8(32))
+    assert cfg == tiny_config(active_stages=(1, 4))
+    assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+    train = TrainConfig(p=np.int64(4), steps_per_epoch=np.int32(2))
+    assert (type(train.p), type(train.steps_per_epoch)) == (int, int)
 
 
 def test_config_roundtrips_through_dict():

@@ -18,6 +18,7 @@ from gaitpt.model import (
     with_stages,
 )
 from gaitpt.numcore import Tensor
+from gaitpt.skeleton import PartitionScheme
 from gaitpt.training import triplet_loss
 
 
@@ -298,6 +299,27 @@ def test_flat_parameter_gradcheck():
     report = nc.grad_check(f, model.flat_parameters(), tol=1e-5,
                            sample=48, rng=np.random.default_rng(0))
     assert report.passed, f"max_rel_err={report.max_rel_err:.3e}"
+
+
+def test_config_normalises_its_fields_and_derives_stages():
+    cfg = GaitPTConfig(dims=[8, 16, 32, 64], blocks=1, heads=[2, 2, 4, 4],
+                       active_stages={4, 1, 1}, scheme="HLR")
+    assert (cfg.dims, cfg.blocks, cfg.heads) == ((8, 16, 32, 64), (1,) * 4, (2, 2, 4, 4))
+    assert cfg.active_stages == (1, 4) and cfg.scheme is PartitionScheme.HLR
+    assert [(s.index, s.dim, s.blocks, s.heads, s.active) for s in cfg.stages] == [
+        (1, 8, 1, 2, True), (2, 16, 1, 2, False), (3, 32, 1, 4, False), (4, 64, 1, 4, True)]
+    assert with_stages(cfg, [1, 4]) == cfg
+    assert GaitPTConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(TypeError):
+        GaitPTConfig(stages=cfg.stages)
+
+
+def test_untaped_forward_does_not_track_gradients():
+    model = tiny_model()
+    x = random_windows(2, 20)
+    assert not model.embed_batch(x).requires_grad
+    with nc.GradTape():
+        assert model.embed_batch(x).requires_grad
 
 
 def test_config_validation():
