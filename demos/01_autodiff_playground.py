@@ -29,6 +29,7 @@ c = 4
 weights = AttentionWeights(
     wq=Tensor(rng.normal(size=(c, c))), wk=Tensor(rng.normal(size=(c, c))),
     wv=Tensor(rng.normal(size=(c, c))), wo=Tensor(rng.normal(size=(c, c))),
+    bq=Tensor(np.zeros(c)), bk=Tensor(np.zeros(c)), bv=Tensor(np.zeros(c)), bo=Tensor(np.zeros(c)),
 )
 tokens = Tensor(rng.normal(size=(1, 3, c)))
 out = nc.multi_head_attention(tokens, weights, heads=2)

@@ -4,7 +4,7 @@ attention pyramid, built on an in-package reverse-mode autodiff engine.
 Subpackage map:
 
     numcore     tensors, autodiff tape, attention primitives, grad_check
-    skeleton    sequence type, anatomy table, partition schemes
+    skeleton    sequence type, limb groups, partition schemes
     model       the pyramid network and its configuration
     training    triplet loss, batch-hard mining, AdamW, cyclic LR, train loop
     evaluation  rank-K / cross-view protocols, Welch's t-test, Pearson r
@@ -27,19 +27,12 @@ from .errors import (
 )
 from .model import GaitPTConfig, GaitPTModel, StageConfig, with_stages
 from .numcore import GradTape, Parameter, Tensor, backward, grad_check
-from .skeleton import (
-    ANATOMY,
-    AnatomyTable,
-    Condition,
-    GaitSequence,
-    PartitionScheme,
-)
+from .skeleton import LIMB_GROUPS, Condition, GaitSequence, PartitionScheme
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANATOMY",
-    "AnatomyTable",
+    "LIMB_GROUPS",
     "Condition",
     "ConfigError",
     "DataFormatError",

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .model import GaitPTConfig, GaitPTModel, with_stages
 from .numcore import AttentionWeights, Tensor
-from .skeleton import Condition, PartitionScheme
+from .skeleton import PartitionScheme
 from .training import train
 
 
@@ -63,7 +63,7 @@ def cmd_synth(args) -> int:
         sequences_per_identity=args.seqs_per_id,
         frames=args.frames,
         views=tuple(_int_list(args.views)),
-        conditions=tuple(Condition(c.strip()) for c in args.conditions.split(",")),
+        conditions=tuple(c.strip() for c in args.conditions.split(",")),
         seed=_seed_of(args),
         noise_level=args.noise,
         train_fraction=args.train_fraction,

@@ -24,7 +24,7 @@ from .skeleton import (
 )
 from .training import TrainConfig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _RECORD_KEYS = ("key", "subject_id", "condition", "view", "session", "frame_width", "frames")
 _OPTIONAL_RECORD_KEYS = ("session",)
@@ -308,7 +308,7 @@ def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPT
         raise IntegrityError(f"{path}: payload CRC mismatch, file is corrupted")
 
     try:
-        config = GaitPTConfig.from_dict(header["model_config"])
+        config = GaitPTConfig(**header["model_config"])
     except (KeyError, TypeError, ConfigError) as e:
         raise DataFormatError(f"{path}: invalid model config in header: {e}") from e
     if expected_config is not None and config != expected_config:
@@ -428,11 +428,7 @@ def config_from_dict(obj: dict) -> RunConfig:
             raise ConfigError(f"config section {section!r} must be an object")
         for key in set(got) - allowed:
             raise ConfigError(f"unknown config key: {section}.{key}")
-    try:
-        train_cfg = TrainConfig(**train_obj)
-    except TypeError as e:  # a float field holding a non-number
-        raise ConfigError(f"train config: {e}") from e
-    return RunConfig(model=GaitPTConfig(**model_obj), train=train_cfg)
+    return RunConfig(model=GaitPTConfig(**model_obj), train=TrainConfig(**train_obj))
 
 
 def load_config(path) -> RunConfig:

@@ -6,7 +6,8 @@ Token granularity advances 18 joints -> 5 limbs -> limb groups -> 1 body
 token while the channel width doubles per stage (default 32/64/128/256).
 Each stage runs a spatial encoder (tokens within a frame; absent at the
 body level) and a temporal encoder (one token's trajectory through time),
-each with its own learned class token. All class outputs are concatenated
+each with its own learned class token and positional table and a 4C
+feed-forward layer in every block. All class outputs are concatenated
 and projected to the final embedding, which is L2-normalized so Euclidean
 triplet margins are scale-free.
 
@@ -28,6 +29,7 @@ from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 
 DEFAULT_DIMS = (32, 64, 128, 256)
 INPUT_CHANNELS = 2
+FFN_MULTIPLIER = 4  # feed-forward hidden width per model width
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,6 @@ class GaitPTConfig:
     scheme: PartitionScheme = PartitionScheme.HUL
     sequence_length: int = 30
     output_dim: int = 256
-    ffn_multiplier: int = 4
-    spatial_positional: bool = True
-    temporal_positional: bool = True
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ class GaitPTConfig:
             object.__setattr__(self, "scheme", PartitionScheme(self.scheme))
         except (TypeError, ValueError):
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        for name in ("sequence_length", "output_dim", "ffn_multiplier"):
+        for name in ("sequence_length", "output_dim"):
             object.__setattr__(self, name, config_int(name, getattr(self, name)))
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
@@ -107,10 +106,6 @@ class GaitPTConfig:
     def build(cls, **kwargs) -> "GaitPTConfig":
         """The constructor under its older name."""
         return cls(**kwargs)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaitPTConfig":
-        return cls(**d)
 
     @property
     def stages(self) -> tuple[StageConfig, ...]:
@@ -126,7 +121,7 @@ class GaitPTConfig:
         return np.dtype(self.dtype)
 
     def to_dict(self) -> dict:
-        """The fields as JSON values; `from_dict` rebuilds the config."""
+        """The fields as JSON values; the constructor rebuilds the config."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update({k: list(out[k]) for k in ("dims", "blocks", "heads", "active_stages")})
         return {**out, "scheme": self.scheme.value}
@@ -230,10 +225,8 @@ class GaitPTModel:
 
         for stage in cfg.stages:
             for kind in stage.encoders:
-                if kind == "spatial":
-                    self._add_encoder(stage, kind, counts[stage.index - 1], cfg.spatial_positional, rng)
-                else:
-                    self._add_encoder(stage, kind, cfg.sequence_length, cfg.temporal_positional, rng)
+                seq_len = counts[stage.index - 1] if kind == "spatial" else cfg.sequence_length
+                self._add_encoder(stage, kind, seq_len, rng)
                 self.class_layout.append((stage.index, kind, stage.dim))
 
         concat_width = sum(width for _, _, width in self.class_layout)
@@ -241,17 +234,16 @@ class GaitPTModel:
         self._add("head.b", np.zeros(cfg.output_dim))
 
     def _add_encoder(self, stage: StageConfig, kind: str, seq_len: int,
-                     positional: bool, rng: np.random.Generator) -> None:
+                     rng: np.random.Generator) -> None:
         c = stage.dim
-        hidden = self.config.ffn_multiplier * c
+        hidden = FFN_MULTIPLIER * c
         base = f"stage{stage.index}.{kind}"
 
         def w(*shape):
             return rng.normal(0.0, 0.02, size=shape)
 
         self._add(f"{base}.cls", w(c))
-        if positional:
-            self._add(f"{base}.pos", w(seq_len + 1, c))
+        self._add(f"{base}.pos", w(seq_len + 1, c))
         for i in range(stage.blocks):
             blk = f"{base}.block{i}"
             self._add(f"{blk}.ln1.g", np.ones(c))
@@ -302,14 +294,10 @@ class GaitPTModel:
         rows, t, c = x.shape
         cls = nc.broadcast_to(nc.reshape(p[f"{base}.cls"], (1, 1, c)), (rows, 1, c))
         x = nc.concat([cls, x], axis=1)
-        pos = p.get(f"{base}.pos")
-        if pos is not None:
-            if pos.shape[0] < t + 1:
-                raise ShapeError(
-                    f"{base}: {t} tokens exceed the positional table of {pos.shape[0] - 1}"
-                )
-            x = nc.add(x, nc.reshape(pos[: t + 1], (1, t + 1, c)))
-        return x
+        pos = p[f"{base}.pos"]
+        if pos.shape[0] < t + 1:
+            raise ShapeError(f"{base}: {t} tokens exceed the positional table of {pos.shape[0] - 1}")
+        return nc.add(x, nc.reshape(pos[: t + 1], (1, t + 1, c)))
 
     def _encoder(self, x: Tensor, stage: StageConfig, kind: str,
                  p: dict[str, Tensor]) -> Tensor:

@@ -78,7 +78,7 @@ class Tensor:
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _SUPPORTED_DTYPES:
-            arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
+            arr = arr.astype(np.float32)
         if not arr.flags.c_contiguous:  # ascontiguousarray would promote 0-d to 1-d
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -440,16 +440,14 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def linear(x, w, b=None) -> Tensor:
-    """Affine map x @ w (+ b) over the last axis; w has shape (in, out)."""
+def linear(x, w, b) -> Tensor:
+    """Affine map x @ w + b over the last axis; w has shape (in, out)."""
     x = _as_tensor(x)
     w = _as_tensor(w)
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape} does not match weight {w.shape}")
     flat = x if x.ndim == 2 else reshape(x, (-1, x.shape[-1]))
-    out = matmul(flat, w)
-    if b is not None:
-        out = add(out, b)
+    out = add(matmul(flat, w), b)
     if x.ndim != 2:
         out = reshape(out, x.shape[:-1] + (w.shape[1],))
     return out
@@ -508,16 +506,17 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 @dataclass
 class AttentionWeights:
-    """Projection weights of one multi-head attention layer (all C x C)."""
+    """Projection weights (C x C) and biases (C) of one multi-head attention
+    layer."""
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
-    bq: Tensor | None = None
-    bk: Tensor | None = None
-    bv: Tensor | None = None
-    bo: Tensor | None = None
+    bq: Tensor
+    bk: Tensor
+    bv: Tensor
+    bo: Tensor
 
 
 def multi_head_attention(tokens, weights: AttentionWeights, heads: int) -> Tensor:

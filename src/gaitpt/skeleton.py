@@ -1,4 +1,4 @@
-"""Gait-sequence data model, anatomy-driven merge hierarchy, partitioning
+"""Gait-sequence data model, limb-group merge hierarchy, partitioning
 schemes, and sequence preprocessing.
 
 Joint indices follow the 17-keypoint COCO convention (0 nose, 1/2 eyes,
@@ -30,31 +30,10 @@ class Condition(str, Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class AnatomyTable:
-    """Joint-index membership of the head and the four limbs.
-
-    Groups are disjoint and tile {0..17}; the head absorbs the duplicated
-    nose so counts come out 6+3+3+3+3. Hips belong to the legs.
-    """
-
-    head: tuple[int, ...] = (0, 1, 2, 3, 4, 17)
-    left_arm: tuple[int, ...] = (5, 7, 9)
-    right_arm: tuple[int, ...] = (6, 8, 10)
-    left_leg: tuple[int, ...] = (11, 13, 15)
-    right_leg: tuple[int, ...] = (12, 14, 16)
-
-    def __post_init__(self):
-        members = [j for group in self.limb_groups() for j in group]
-        if sorted(members) != list(range(JOINTS)):
-            raise ConfigError("anatomy groups must be disjoint and tile all 18 joints")
-
-    def limb_groups(self) -> tuple[tuple[int, ...], ...]:
-        """Ordered joint groups producing the 5 limb tokens."""
-        return (self.head, self.left_arm, self.right_arm, self.left_leg, self.right_leg)
-
-
-ANATOMY = AnatomyTable()
+# Joints of the five limb tokens: head, left arm, right arm, left leg, right
+# leg. The groups are disjoint and tile {0..17}; the head absorbs the
+# duplicated nose, so counts come out 6+3+3+3+3. Hips belong to the legs.
+LIMB_GROUPS = ((0, 1, 2, 3, 4, 17), (5, 7, 9), (6, 8, 10), (11, 13, 15), (12, 14, 16))
 
 # Limb-token indices used by the partitioning schemes.
 HEAD_TOKEN, L_ARM_TOKEN, R_ARM_TOKEN, L_LEG_TOKEN, R_LEG_TOKEN = range(5)
@@ -142,44 +121,25 @@ def normalize_sequence(seq: GaitSequence, frame_width: float) -> GaitSequence:
     return replace(seq, frames=seq.frames / float(frame_width))
 
 
-def sample_window(
-    seq: GaitSequence,
-    length: int,
-    mode: str = "eval_head",
-    rng: np.random.Generator | None = None,
-) -> GaitSequence:
-    """Cut a fixed-length contiguous window of frames.
-
-    `eval_head` takes the first `length` frames; `train_random` draws a
-    uniform random start from the supplied generator. Sequences shorter
-    than `length` are an error; drop them first.
-    """
+def sample_window(seq: GaitSequence, length: int, rng: np.random.Generator) -> np.ndarray:
+    """The frames of a `length`-frame contiguous window, a view of
+    `seq.frames`, whose start is drawn uniformly from `rng`. Sequences
+    shorter than `length` are an error; drop them first."""
     n = len(seq)
     if n < length:
         raise InputError(f"sequence has {n} frames, shorter than window {length}")
-    if mode == "eval_head":
-        start = 0
-    elif mode == "train_random":
-        if rng is None:
-            raise ConfigError("train_random windows need a seeded Generator")
-        start = int(rng.integers(0, n - length + 1))
-    else:
-        raise ConfigError(f"unknown window mode {mode!r}")
-    return replace(seq, frames=seq.frames[start : start + length])
+    start = int(rng.integers(0, n - length + 1))
+    return seq.frames[start : start + length]
 
 
-def merge_plan(
-    stage: int,
-    scheme: PartitionScheme = PartitionScheme.HUL,
-    anatomy: AnatomyTable = ANATOMY,
-) -> tuple[tuple[int, ...], ...]:
+def merge_plan(stage: int, scheme: PartitionScheme = PartitionScheme.HUL) -> tuple[tuple[int, ...], ...]:
     """Token groups merged when leaving `stage` (1, 2, or 3).
 
     Stage 1 merges the 18 joints into the 5 limb tokens, stage 2 merges
     limbs per `scheme`, stage 3 merges everything into one body token.
     """
     if stage == 1:
-        return anatomy.limb_groups()
+        return LIMB_GROUPS
     if stage == 2:
         return scheme.stage3_groups
     if stage == 3:

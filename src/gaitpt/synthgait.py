@@ -230,12 +230,12 @@ class SynthConfig:
             raise ConfigError("identity/sequence/frame counts must be >= 1")
         if not self.views:
             raise ConfigError("need at least one view")
+        for c in self.conditions:
+            if c not in ("NM", "BG", "CL"):
+                raise ConfigError(f"unknown condition {c!r}; the generator takes NM, BG, CL")
         conds = tuple(Condition(c) for c in self.conditions)
         if not conds:
             raise ConfigError("need at least one condition")
-        bad = [c for c in conds if c is Condition.OTHER]
-        if bad:
-            raise ConfigError("generator conditions are limited to NM, BG, CL")
         if Condition.NM not in conds:
             raise ConfigError("the NM condition is required (it enrolls the gallery)")
         if not 0.0 <= self.train_fraction < 1.0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, InputError, SamplingError, ShapeError, config_int
+from .errors import ConfigError, InputError, NumericError, SamplingError, ShapeError, config_int
 from .model import GaitPTModel
 from .numcore import GradTape, Parameter, Tensor
 from .skeleton import GaitSequence, sample_window
@@ -50,12 +50,24 @@ class TrainConfig:
             setattr(self, name, config_int(name, getattr(self, name), minimum))
         if self.steps_per_epoch is not None:
             self.steps_per_epoch = config_int("steps_per_epoch", self.steps_per_epoch)
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if not self.lr_min < self.lr_max:
-            raise ConfigError(f"need lr_min < lr_max, got {self.lr_min} >= {self.lr_max}")
-        if not 0 < self.gamma <= 1:
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        # Each rule is false for NaN; lr_max comes before lr_min, which reads it.
+        for name, rule, ok in (
+            ("margin", "> 0", lambda v: v > 0),
+            ("lr_max", "finite and > 0", lambda v: 0 < v < math.inf),
+            ("lr_min", "in (0, lr_max)", lambda v: 0 < v < self.lr_max),
+            ("gamma", "in (0, 1]", lambda v: 0 < v <= 1),
+            ("weight_decay", ">= 0", lambda v: v >= 0),
+            ("beta1", "in [0, 1)", lambda v: 0 <= v < 1),
+            ("beta2", "in [0, 1)", lambda v: 0 <= v < 1),
+            ("eps", "> 0", lambda v: v > 0),
+        ):
+            value = getattr(self, name)
+            try:
+                valid = bool(ok(value))
+            except TypeError:  # not a number
+                valid = False
+            if not valid:
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -87,25 +99,18 @@ def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
     return nc.sqrt(nc.tensor_sum(nc.mul(diff, diff), axis=-1))
 
 
-def triplet_loss(
-    anchor,
-    positive,
-    negative,
-    margin: float = 0.02,
-    hinge: bool = True,
-) -> Tensor:
-    """d(a,p) - d(a,n) + margin, hinged at zero by default.
+def triplet_loss(anchor, positive, negative, margin: float = 0.02) -> Tensor:
+    """max(0, d(a,p) - d(a,n) + margin).
 
     Inputs of shape (D,) give the single-triplet loss; (B, D) batches are
-    averaged. The unhinged form (hinge=False) can go negative and exists for
-    fidelity experiments only.
+    averaged.
     """
     a, p, n = (x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
                for x in (anchor, positive, negative))
     if not a.shape == p.shape == n.shape:
         raise ShapeError(f"triplet embeddings disagree: {a.shape}, {p.shape}, {n.shape}")
     raw = nc.add(nc.sub(euclidean_distance(a, p), euclidean_distance(a, n)), margin)
-    per_triplet = nc.relu(raw) if hinge else raw
+    per_triplet = nc.relu(raw)
     return nc.mean(per_triplet) if per_triplet.ndim > 0 else per_triplet
 
 
@@ -254,7 +259,7 @@ def train(
     for epoch in range(cfg.epochs):
         lr = cyclic_lr(epoch, cfg)
         losses, active = [], []
-        for _ in range(steps):
+        for step in range(steps):
             picked = rng.choice(len(subjects), size=cfg.p, replace=False)
             batch_idx: list[int] = []
             for s in picked:
@@ -264,14 +269,11 @@ def train(
                     for j in rng.choice(len(pool), size=cfg.k, replace=len(pool) < cfg.k)
                 )
             windows = np.stack(
-                [
-                    sample_window(dataset[i], window, "train_random", rng).frames
-                    for i in batch_idx
-                ]
+                [sample_window(dataset[i], window, rng) for i in batch_idx]
             ).astype(model.config.np_dtype)
             labels = [dataset[i].subject_id for i in batch_idx]
             loss_value, active_fraction = _train_step(
-                model, windows, labels, cfg, state, lr
+                model, windows, labels, cfg, state, lr, f"epoch {epoch} step {step}"
             )
             losses.append(loss_value)
             active.append(active_fraction)
@@ -296,16 +298,19 @@ def _train_step(
     cfg: TrainConfig,
     state: OptimizerState,
     lr: float,
+    where: str,
 ) -> tuple[float, float]:
-    """Forward in micro-batches, mine, and push the loss gradient back."""
+    """Forward in micro-batches, mine, and push the loss gradient back.
+    A non-finite loss raises a NumericError naming `where` before any
+    parameter moves."""
     batch = windows.shape[0]
-    chunks: list[tuple[GradTape, Tensor, slice]] = []
+    chunks: list[tuple[Tensor, slice]] = []
     parts = []
     for start in range(0, batch, cfg.micro_batch):
         stop = min(start + cfg.micro_batch, batch)
-        with GradTape() as tape:
+        with GradTape():
             emb = model.embed_batch(windows[start:stop])
-        chunks.append((tape, emb, slice(start, stop)))
+        chunks.append((emb, slice(start, stop)))
         parts.append(emb.data)
     embeddings = np.concatenate(parts, axis=0)
 
@@ -321,10 +326,12 @@ def _train_step(
             margin=cfg.margin,
         )
         nc.backward(loss)
+    if not math.isfinite(loss.item()):
+        raise NumericError(f"{where}: loss is {loss.item()}; parameters keep their last finite values")
     cotangent = emb_leaf.grad.data.astype(embeddings.dtype)
 
     model.zero_grad()
-    for tape, emb, sl in chunks:
+    for emb, sl in chunks:
         nc.backward_from(emb, cotangent[sl])
     grads = {
         name: p.grad.data for name, p in model.params.items() if p.grad is not None

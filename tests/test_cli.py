@@ -65,6 +65,11 @@ def test_synth_rejects_zero_identities(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x"), "--identities", "0"]) == 2
 
 
+def test_synth_rejects_unknown_condition(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "x"), "--conditions", "NM,XX"]) == 2
+    assert "'XX'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--out", str(tmp_path / "y"), "--bogus", "1"])
@@ -130,6 +135,19 @@ def test_train_config_with_two_block_counts_exits_2(workdir, tmp_path, capsys):
                "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt")])
     assert rc == 2
     assert "blocks takes one integer or four" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "margin", float("nan"), "margin must be > 0, got nan"),
+    ("model", "spatial_positional", "false", "unknown config key: model.spatial_positional"),
+])
+def test_train_config_with_bad_value_exits_2(workdir, tmp_path, capsys, section, key, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({section: {**TINY_RUN_CONFIG[section], key: value}}))
+    rc = main(["train", "--data", str(workdir / "ds" / "manifest.json"),
+               "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_train_default_uses_all_stages(workdir):

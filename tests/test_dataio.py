@@ -188,10 +188,11 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
     dataio.save_checkpoint(model, path)
     header_line, _, payload = path.read_bytes().partition(b"\n")
     header = json.loads(header_line)
-    header["format_version"] = 999
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(IntegrityError, match="version"):
-        dataio.load_checkpoint(path)
+    for version in (999, 1):  # version 1 headers carried three more model fields
+        header["format_version"] = version
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(IntegrityError, match=f"version {version} != supported 2"):
+            dataio.load_checkpoint(path)
 
 
 _BAD_PARAM_TABLES = {
@@ -238,7 +239,7 @@ def test_checkpoint_header_echoes_config(tmp_path):
     path = tmp_path / "m.ckpt"
     dataio.save_checkpoint(model, path)
     header = json.loads(path.read_bytes().partition(b"\n")[0])
-    assert GaitPTConfig.from_dict(header["model_config"]) == cfg
+    assert GaitPTConfig(**header["model_config"]) == cfg
 
 
 def test_checkpoint_roundtrip_property_over_random_models(tmp_path):
@@ -269,8 +270,7 @@ def _buildable_configs():
     for scheme in PartitionScheme:
         yield GaitPTConfig.build(**base, scheme=scheme, active_stages=(2, 3))
     yield GaitPTConfig.build(dims=(4, 8, 8, 16), blocks=(1, 2, 1, 2), heads=(1, 2, 4, 8),
-                             sequence_length=2, output_dim=3, ffn_multiplier=1,
-                             spatial_positional=False, temporal_positional=False, dtype="float64")
+                             sequence_length=2, output_dim=3, dtype="float64")
     yield GaitPTConfig(**base, active_stages=(1, 3, 4))
 
 
@@ -370,8 +370,15 @@ def test_model_keys_are_the_config_fields_in_to_dict_order():
     assert set(GaitPTConfig().to_dict()) == dataio._MODEL_KEYS
     assert list(GaitPTConfig().to_dict()) == [
         "dims", "blocks", "heads", "active_stages", "scheme", "sequence_length",
-        "output_dim", "ffn_multiplier", "spatial_positional", "temporal_positional", "dtype",
+        "output_dim", "dtype",
     ]
+
+
+@pytest.mark.parametrize("key", ["ffn_multiplier", "spatial_positional", "temporal_positional"])
+def test_removed_model_fields_are_unknown_keys(key):
+    # Every encoder has positional tables and a 4C feed-forward layer.
+    with pytest.raises(ConfigError, match=rf"unknown config key: model\.{key}$"):
+        dataio.config_from_dict({"model": {key: "false"}})
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -382,7 +389,7 @@ def test_model_keys_are_the_config_fields_in_to_dict_order():
     ("model", "dims", 32),
     ("model", "output_dim", 2.5),
     ("model", "sequence_length", 2.5),
-    ("model", "ffn_multiplier", 2.5),
+    ("model", "dtype", "float16"),
     ("model", "active_stages", [1, 2.0]),
     ("model", "active_stages", 4),
     ("model", "scheme", "NOPE"),
@@ -391,6 +398,17 @@ def test_model_keys_are_the_config_fields_in_to_dict_order():
     ("train", "epochs", None),
     ("train", "steps_per_epoch", 1.5),
     ("train", "seed", -1),
+    ("train", "margin", float("nan")),
+    ("train", "margin", "0.02"),
+    ("train", "lr_max", float("inf")),
+    ("train", "lr_min", float("nan")),
+    ("train", "lr_min", 0.0),
+    ("train", "gamma", float("nan")),
+    ("train", "weight_decay", -1),
+    ("train", "beta1", 7),
+    ("train", "beta2", 1.0),
+    ("train", "eps", -1),
+    ("train", "eps", float("nan")),
 ])
 def test_config_from_dict_names_the_bad_field(section, key, value):
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):

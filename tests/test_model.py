@@ -26,6 +26,15 @@ def tiny_model(seed=0, **overrides):
     return GaitPTModel(tiny_config(**overrides), seed=seed)
 
 
+def zero_positional(model, *kinds):
+    """Zero the positional tables of the `kinds` encoders ("spatial",
+    "temporal") in place, so those encoders see no token order."""
+    for name, p in model.params.items():
+        if name.endswith(".pos") and name.split(".")[1] in kinds:
+            p.value.data[...] = 0
+    return model
+
+
 # ---------------------------------------------------------------------------
 # structure
 # ---------------------------------------------------------------------------
@@ -47,20 +56,21 @@ def test_default_param_count_in_band():
 
 def test_param_count_matches_hand_count_on_toy_config():
     cfg = GaitPTConfig.build(dims=(4, 4, 4, 4), blocks=1, heads=1,
-                             sequence_length=3, output_dim=5,
-                             spatial_positional=False, temporal_positional=False)
+                             sequence_length=3, output_dim=5)
     model = GaitPTModel(cfg, seed=0)
 
     c = 4
     block = 2 * c + 4 * (c * c + c) + 2 * c + (c * 4 * c + 4 * c) + (4 * c * c + c)
     encoder = c + block            # class token + one block
+    positional = c * ((18 + 1) + (5 + 1) + (3 + 1))  # spatial tables of stages 1-3
+    positional += 4 * c * (3 + 1)                    # temporal tables, 3 frames + class
     input_proj = 2 * c + c
     merge1 = (6 * c * c + c) + 4 * (3 * c * c + c)   # head group + 4 limbs
     merge2 = (1 * c * c + c) + 2 * (2 * c * c + c)   # HUL: head, arms, legs
     merge3 = 3 * c * c + c
     encoders = 7 * encoder          # spatial+temporal for stages 1-3, temporal for 4
     head = (7 * c) * 5 + 5
-    expected = input_proj + merge1 + merge2 + merge3 + encoders + head
+    expected = input_proj + merge1 + merge2 + merge3 + encoders + positional + head
     assert param_count(model) == expected
 
 
@@ -135,7 +145,7 @@ def test_spatial_stage_is_frame_independent():
 
 
 def test_spatial_stage_token_permutation_equivariance_without_pos():
-    model = tiny_model(spatial_positional=False)
+    model = zero_positional(tiny_model(), "spatial")
     rng = np.random.default_rng(4)
     feat = rng.normal(size=(3, 18, 8)).astype(np.float64)
     out, cls = model.spatial_attention_stage(feat, 1)
@@ -164,7 +174,7 @@ def test_temporal_stage_token_stream_independence():
 
 
 def test_temporal_stage_time_reversal_without_pos():
-    model = tiny_model(temporal_positional=False)
+    model = zero_positional(tiny_model(), "temporal")
     rng = np.random.default_rng(6)
     feat = rng.normal(size=(7, 18, 8)).astype(np.float64)
     out, cls = model.temporal_attention_stage(feat, 1)
@@ -248,9 +258,8 @@ def test_with_stages_rejects_empty_or_unknown():
 
 def test_forward_invariant_to_within_group_relabeling_without_pos():
     # Swapping joints consistently in the input and in the merge plan's
-    # member lists must not change the embedding (no positional tables).
-    cfg = tiny_config(spatial_positional=False, temporal_positional=False, dtype="float64")
-    model = GaitPTModel(cfg, seed=1)
+    # member lists must not change the embedding (positional tables zeroed).
+    model = zero_positional(GaitPTModel(tiny_config(dtype="float64"), seed=1), "spatial", "temporal")
     x = random_windows(2, 20)
 
     sigma = {i: i for i in range(18)}
@@ -309,7 +318,7 @@ def test_config_normalises_its_fields_and_derives_stages():
     assert [(s.index, s.dim, s.blocks, s.heads, s.active) for s in cfg.stages] == [
         (1, 8, 1, 2, True), (2, 16, 1, 2, False), (3, 32, 1, 4, False), (4, 64, 1, 4, True)]
     assert with_stages(cfg, [1, 4]) == cfg
-    assert GaitPTConfig.from_dict(cfg.to_dict()) == cfg
+    assert GaitPTConfig(**cfg.to_dict()) == cfg
     with pytest.raises(TypeError):
         GaitPTConfig(stages=cfg.stages)
 

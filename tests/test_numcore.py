@@ -172,7 +172,7 @@ def _rand_weights(rng, c, bias=True):
         return t64(rng.normal(size=(c, c)))
 
     def vec():
-        return t64(rng.normal(size=c)) if bias else None
+        return t64(rng.normal(size=c) if bias else np.zeros(c))
 
     return AttentionWeights(wq=mat(), wk=mat(), wv=mat(), wo=mat(),
                             bq=vec(), bk=vec(), bv=vec(), bo=vec())

@@ -1,11 +1,11 @@
-"""Anatomy table, partition schemes, merge plans, and preprocessing."""
+"""Limb groups, partition schemes, merge plans, and preprocessing."""
 
 import numpy as np
 import pytest
 
 from gaitpt.errors import ConfigError, DataFormatError, InputError
 from gaitpt.skeleton import (
-    ANATOMY,
+    LIMB_GROUPS,
     Condition,
     GaitSequence,
     PartitionScheme,
@@ -27,7 +27,7 @@ def make_seq(n=10, subject="s0", view=0, session=1, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_anatomy_groups_tile_all_joints():
-    groups = ANATOMY.limb_groups()
+    groups = LIMB_GROUPS
     members = [j for g in groups for j in g]
     assert sorted(members) == list(range(18))
     assert len(groups[0]) == 6                      # head takes the extra nose
@@ -74,7 +74,7 @@ def test_merge_plan_examples():
     assert merge_plan(2, PartitionScheme.HUL) == ((0,), (1, 2), (3, 4))
     assert merge_plan(3, PartitionScheme.HUL) == ((0, 1, 2),)
     assert merge_plan(3, PartitionScheme.ALL) == ((0, 1, 2, 3, 4, 5, 6),)
-    assert merge_plan(1, PartitionScheme.HUL) == ANATOMY.limb_groups()
+    assert merge_plan(1, PartitionScheme.HUL) == LIMB_GROUPS
     with pytest.raises(ConfigError):
         merge_plan(4, PartitionScheme.HUL)
 
@@ -121,31 +121,21 @@ def test_normalize_rejects_bad_width():
 
 def test_sample_window_whole_sequence():
     seq = make_seq(n=30)
-    rng = np.random.default_rng(0)
-    assert np.array_equal(sample_window(seq, 30, "eval_head").frames, seq.frames)
-    assert np.array_equal(sample_window(seq, 30, "train_random", rng).frames, seq.frames)
-
-
-def test_sample_window_eval_head_takes_prefix():
-    seq = make_seq(n=31)
-    out = sample_window(seq, 30, "eval_head")
-    assert np.array_equal(out.frames, seq.frames[:30])
+    assert np.array_equal(sample_window(seq, 30, np.random.default_rng(0)), seq.frames)
 
 
 def test_sample_window_random_is_reproducible():
     seq = make_seq(n=100)
-    a = sample_window(seq, 30, "train_random", np.random.default_rng(7))
-    b = sample_window(seq, 30, "train_random", np.random.default_rng(7))
-    assert np.array_equal(a.frames, b.frames)
+    a = sample_window(seq, 30, np.random.default_rng(7))
+    b = sample_window(seq, 30, np.random.default_rng(7))
+    assert np.array_equal(a, b)
+    start = int(np.flatnonzero((seq.frames == a[0]).all(axis=(1, 2)))[0])
+    assert np.array_equal(a, seq.frames[start : start + 30])  # one contiguous window
 
 
-def test_sample_window_too_short_and_bad_mode():
+def test_sample_window_rejects_short_sequence():
     with pytest.raises(InputError):
-        sample_window(make_seq(n=10), 30, "eval_head")
-    with pytest.raises(ConfigError):
-        sample_window(make_seq(n=30), 10, "nonsense")
-    with pytest.raises(ConfigError):
-        sample_window(make_seq(n=30), 10, "train_random")  # rng missing
+        sample_window(make_seq(n=10), 30, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from conftest import fast_train_config, tiny_config, tiny_splits
 
 from gaitpt import numcore as nc
 from gaitpt.dataio import config_from_dict
-from gaitpt.errors import ConfigError, SamplingError, ShapeError
+from gaitpt.errors import ConfigError, NumericError, SamplingError, ShapeError
 from gaitpt.model import GaitPTModel
 from gaitpt.numcore import GradTape, Parameter, Tensor
 from gaitpt.training import (
@@ -40,8 +40,6 @@ def test_triplet_loss_direct_evaluation():
 def test_triplet_loss_hinges_at_zero():
     a, p, n = np.array([0.0]), np.array([0.1]), np.array([0.5])
     assert triplet_loss(a, p, n, margin=0.02).item() == 0.0
-    unhinged = triplet_loss(a, p, n, margin=0.02, hinge=False)
-    assert math.isclose(unhinged.item(), -0.38, rel_tol=1e-12)
 
 
 def test_triplet_loss_degenerate_triplet_equals_margin():
@@ -252,6 +250,17 @@ def test_train_is_bitwise_reproducible():
     log2, params2 = run()
     assert log1 == log2
     assert all(np.array_equal(params1[k], params2[k]) for k in params1)
+
+
+def test_train_stops_at_a_non_finite_loss():
+    splits = tiny_splits(identities=4, sequences_per_identity=4, frames=30, views=(90,), seed=6)
+    model = GaitPTModel(tiny_config(), seed=1)
+    model.params["head.b"].value.data[0] = np.nan
+    before = {k: p.value.data.copy() for k, p in model.params.items()}
+    with pytest.raises(NumericError, match="epoch 0 step 0: loss is nan"):
+        train(model, splits["train"], fast_train_config(), log_stream=io.StringIO())
+    for k, p in model.params.items():  # no optimizer step ran
+        assert np.array_equal(p.value.data, before[k], equal_nan=True), k
 
 
 def test_train_rejects_insufficient_identities():
