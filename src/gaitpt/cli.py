@@ -161,10 +161,11 @@ def _print_study(result, as_json: bool) -> None:
         print(result.render(), end="")
 
 
-def _gradcheck_cases(rng: np.random.Generator):
-    """Scalar-valued probes of every differentiable primitive."""
+def _gradcheck_cases(rng: np.random.Generator, dtype=np.float64):
+    """Scalar-valued probes of every differentiable primitive, each with
+    its input and closed-over tensors in `dtype`."""
     def t(*shape):
-        return Tensor(rng.normal(size=shape))
+        return Tensor(rng.normal(size=shape), dtype=dtype)
 
     def sq(y):  # reduce anything to a well-conditioned scalar
         return nc.tensor_sum(nc.mul(y, y))
@@ -229,8 +230,6 @@ def tiny_model_gradcheck(tol: float, seed: int = 0, sample: int = 64) -> list[tu
 
 
 def cmd_gradcheck(args) -> int:
-    if args.size != "tiny":
-        raise ConfigError(f"unsupported --size {args.size!r}; only 'tiny' exists")
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
     t0 = time.time()
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--size", default="tiny")
     p.add_argument("--tol", type=float, default=1e-4)
     common(p)
     p.set_defaults(func=cmd_gradcheck)

@@ -29,6 +29,17 @@ def config_int(name: str, value, minimum: int = 1) -> int:
     return n
 
 
+def config_rule(name: str, value, rule: str, ok) -> None:
+    """Raise a ConfigError naming `name` and `rule` unless `ok(value)` is
+    true; a value `ok` cannot compare (TypeError) fails too."""
+    try:
+        valid = bool(ok(value))
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
 class InputError(GaitError, ValueError):
     """A runtime input violates an operation's precondition."""
 

@@ -6,7 +6,10 @@ replays the record in reverse, accumulating vector-Jacobian products onto the
 ``requires_grad`` leaves. ``grad_check`` provides the central-finite-difference
 oracle used throughout the test suite.
 
-Training runs in float32 by default; gradient checks require float64.
+Training runs in float32 by default; gradient checks require float64. A
+tape's backward runs in its parameters' dtype: every VJP returns
+cotangents in the dtype it received, so a float32 model never computes its
+backward pass in float64.
 """
 
 from __future__ import annotations
@@ -405,7 +408,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     shape = a.shape
-    count = a.size if axis is None else np.prod([shape[i] for i in np.atleast_1d(axis)])
+    # A Python int, not np.prod's int64 scalar: NumPy 2 promotes float32 / int64 to float64.
+    count = a.size if axis is None else math.prod(shape[i] for i in np.atleast_1d(axis))
 
     def vjp(g):
         if axis is not None and not keepdims:

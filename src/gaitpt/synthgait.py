@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_int, config_rule
 from .skeleton import Condition, GaitSequence, duplicate_nose, sequence_key
 
 SHIN_FOLLOW = 0.85     # shin angle as a fraction of the thigh angle
@@ -226,8 +226,11 @@ class SynthConfig:
     train_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.identities < 1 or self.sequences_per_identity < 1 or self.frames < 1:
-            raise ConfigError("identity/sequence/frame counts must be >= 1")
+        for name in ("identities", "sequences_per_identity", "frames"):
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
+        # Each rule is false for NaN.
+        config_rule("noise_level", self.noise_level, "finite and >= 0", lambda v: 0 <= v < math.inf)
+        config_rule("train_fraction", self.train_fraction, "in [0, 1)", lambda v: 0 <= v < 1)
         if not self.views:
             raise ConfigError("need at least one view")
         for c in self.conditions:
@@ -238,8 +241,6 @@ class SynthConfig:
             raise ConfigError("need at least one condition")
         if Condition.NM not in conds:
             raise ConfigError("the NM condition is required (it enrolls the gallery)")
-        if not 0.0 <= self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in [0, 1), got {self.train_fraction}")
         object.__setattr__(self, "views", tuple(int(v) for v in self.views))
         object.__setattr__(self, "conditions", conds)
 

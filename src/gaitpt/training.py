@@ -2,10 +2,12 @@
 identity-balanced P x K batches, AdamW, and a decaying cyclic learning rate.
 
 The loss gradient is computed on the embedding matrix and pushed back
-through the network in micro-batches. Every micro-batch's tape stays alive
-until the whole P x K batch is mined, so peak memory grows with P x K: one
-default-model step peaked at 1,535 MB against 382 MB for a single taped
-micro-batch (ROADMAP open item 3 bounds it by recomputing the forward).
+through the network in micro-batches, in the parameters' dtype. Every
+micro-batch's tape stays alive until the whole P x K batch is mined, so peak
+memory grows with P x K. A default-model float32 step (P x K = 32,
+micro-batch 8, one BLAS thread on a 2-CPU x86_64 host) takes a median 2.56 s
+(3.88 s when its backward ran in float64) and peaks at 1,566 MB traced and
+1,646 MB resident, against 382 MB for a single taped micro-batch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, InputError, NumericError, SamplingError, ShapeError, config_int
+from .errors import (
+    ConfigError, InputError, NumericError, SamplingError, ShapeError, config_int, config_rule,
+)
 from .model import GaitPTModel
 from .numcore import GradTape, Parameter, Tensor
 from .skeleton import GaitSequence, sample_window
@@ -61,13 +65,7 @@ class TrainConfig:
             ("beta2", "in [0, 1)", lambda v: 0 <= v < 1),
             ("eps", "> 0", lambda v: v > 0),
         ):
-            value = getattr(self, name)
-            try:
-                valid = bool(ok(value))
-            except TypeError:  # not a number
-                valid = False
-            if not valid:
-                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+            config_rule(name, getattr(self, name), rule, ok)
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -189,6 +187,8 @@ def adamw_step(
             g = np.zeros_like(theta)
         elif g.shape != theta.shape:
             raise ShapeError(f"gradient for {name} has shape {g.shape}, parameter {theta.shape}")
+        elif g.dtype != theta.dtype:
+            raise ShapeError(f"gradient for {name} has dtype {g.dtype}, parameter {theta.dtype}")
         m = state.m[name]
         v = state.v[name]
         m *= beta1
@@ -196,7 +196,7 @@ def adamw_step(
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         update = (m / c1) / (np.sqrt(v / c2) + eps)
-        theta -= lr * update.astype(theta.dtype)
+        theta -= lr * update
         if weight_decay:
             theta -= lr * weight_decay * theta
 
@@ -302,7 +302,7 @@ def _train_step(
 ) -> tuple[float, float]:
     """Forward in micro-batches, mine, and push the loss gradient back.
     A non-finite loss raises a NumericError naming `where` before any
-    parameter moves."""
+    parameter moves; so does a parameter the update left non-finite."""
     batch = windows.shape[0]
     chunks: list[tuple[Tensor, slice]] = []
     parts = []
@@ -336,11 +336,15 @@ def _train_step(
     grads = {
         name: p.grad.data for name, p in model.params.items() if p.grad is not None
     }
-    adamw_step(
-        model.params, grads, state, lr,
-        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        adamw_step(
+            model.params, grads, state, lr,
+            beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay,
+        )
     model.zero_grad()
+    for name, p in model.params.items():
+        if not np.isfinite(p.value.data).all():
+            raise NumericError(f"{where}: parameter {name} is not finite after the update at lr {lr:g}")
 
     d = pairwise_distances(embeddings.astype(np.float64))
     margins = d[a_idx, p_idx] - d[a_idx, n_idx] + cfg.margin

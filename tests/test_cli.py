@@ -259,10 +259,6 @@ def test_gradcheck_pass_and_forced_failure(capsys):
     assert main(["gradcheck", "--tol", "0", "--seed", "0"]) == 1
 
 
-def test_gradcheck_rejects_unknown_size():
-    assert main(["gradcheck", "--size", "huge"]) == 2
-
-
 def test_ablate_smoke(workdir, capsys):
     rc = main(["ablate", "--data", str(workdir / "ds" / "manifest.json"),
                "--config", str(workdir / "cfg.json"), "--subsets", "4|1,4",

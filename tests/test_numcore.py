@@ -327,6 +327,53 @@ def test_every_primitive_matches_finite_differences():
         assert report.passed, f"{name}: max_rel_err={report.max_rel_err:.3e}"
 
 
+def _backward_dtype_leaks(output, tape, cotangent, leaves, dtype):
+    """Backpropagate `cotangent` from `output` with every VJP on `tape`
+    wrapped to log the dtypes it receives and returns; list each VJP call
+    or leaf gradient whose dtype is not `dtype`."""
+    calls = []
+    for node in tape._nodes:
+        def logged(g, vjp=node.vjp):
+            grads = vjp(g)
+            calls.append((vjp.__qualname__, g.dtype, [gi.dtype for gi in grads if gi is not None]))
+            return grads
+        node.vjp = logged
+    nc.backward_from(output, cotangent)
+    assert calls
+    leaks = [c for c in calls if c[1] != dtype or any(d != dtype for d in c[2])]
+    leaks += [(name, t.grad.dtype) for name, t in leaves.items() if t.grad.dtype != dtype]
+    return leaks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_primitive_backward_keeps_parameter_dtype(dtype):
+    from gaitpt.cli import _gradcheck_cases
+
+    for name, f, x in _gradcheck_cases(np.random.default_rng(5), dtype=dtype):
+        leaf = Tensor(x.data, requires_grad=True)
+        assert leaf.dtype == dtype, name
+        with GradTape() as tape:
+            y = f(leaf)
+        leaks = _backward_dtype_leaks(y, tape, np.ones_like(y.data), {name: leaf}, dtype)
+        assert not leaks, f"{name}: {leaks}"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_default_model_backward_keeps_parameter_dtype(dtype):
+    from gaitpt.model import GaitPTConfig, GaitPTModel
+    from gaitpt.training import TrainConfig
+
+    model = GaitPTModel(GaitPTConfig.build(dtype=dtype), seed=0)
+    rng = np.random.default_rng(0)
+    windows = rng.uniform(size=(TrainConfig().micro_batch, model.config.sequence_length, 18, 2))
+    with GradTape() as tape:
+        emb = model.embed_batch(windows.astype(dtype))
+    cotangent = rng.normal(size=emb.shape).astype(dtype)
+    leaves = {name: p.value for name, p in model.params.items()}
+    leaks = _backward_dtype_leaks(emb, tape, cotangent, leaves, np.dtype(dtype))
+    assert not leaks, f"{len(leaks)} dtype leaks, first {leaks[:3]}"
+
+
 def test_grad_check_quadratic_is_nearly_exact():
     report = nc.grad_check(
         lambda x: nc.tensor_sum(nc.mul(x, x)),

@@ -229,3 +229,13 @@ def test_synth_config_validation():
         SynthConfig(conditions=(Condition.BG,))   # NM required for the gallery
     with pytest.raises(ConfigError):
         SynthConfig(train_fraction=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("identities", 2.5), ("sequences_per_identity", "4"), ("frames", None),
+    ("noise_level", float("nan")), ("noise_level", float("inf")), ("noise_level", "0.1"),
+    ("train_fraction", float("nan")), ("train_fraction", None),
+])
+def test_synth_config_rejects_a_bad_value_by_name(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        SynthConfig(**{field: value})

@@ -186,6 +186,14 @@ def test_adamw_descends_a_quadratic():
     assert np.linalg.norm(params["w"].value.data) < 0.5
 
 
+def test_adamw_rejects_a_gradient_of_another_dtype():
+    params = {"w": Parameter("w", Tensor(np.ones(3, dtype=np.float32)))}
+    state = OptimizerState.for_params(params)
+    with pytest.raises(ShapeError, match="gradient for w has dtype float64, parameter float32"):
+        adamw_step(params, {"w": np.ones(3)}, state, lr=0.1)
+    assert np.array_equal(params["w"].value.data, np.ones(3, dtype=np.float32))
+
+
 def test_adamw_moment_shapes_track_parameters():
     params = make_params({"a": np.zeros((2, 3)), "b": np.zeros(4)})
     state = OptimizerState.for_params(params)
@@ -261,6 +269,16 @@ def test_train_stops_at_a_non_finite_loss():
         train(model, splits["train"], fast_train_config(), log_stream=io.StringIO())
     for k, p in model.params.items():  # no optimizer step ran
         assert np.array_equal(p.value.data, before[k], equal_nan=True), k
+
+
+def test_train_stops_at_non_finite_parameters():
+    splits = tiny_splits(identities=4, sequences_per_identity=4, frames=30, views=(90,), seed=6)
+    model = GaitPTModel(tiny_config(), seed=1)
+    cfg = fast_train_config(lr_min=1e30, lr_max=1e35)  # the update overflows float32
+    with pytest.raises(NumericError, match="epoch 0 step 0: parameter ") as info:
+        train(model, splits["train"], cfg, log_stream=io.StringIO())
+    bad = [k for k, p in model.params.items() if not np.isfinite(p.value.data).all()]
+    assert f"parameter {bad[0]} is not finite" in str(info.value)
 
 
 def test_train_rejects_insufficient_identities():
