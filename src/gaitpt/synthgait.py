@@ -62,14 +62,17 @@ class IdentityParams:
             self.torso_len, self.neck_len, self.shoulder_halfwidth,
             self.hip_halfwidth, self.upper_arm, self.forearm, self.thigh, self.shin,
         )
-        if any(v <= 0 for v in lengths):
-            raise InputError("all body lengths must be > 0")
+        # Each check is written so that NaN fails it.
+        if not all(0 < v < math.inf for v in lengths):
+            raise InputError("all body lengths must be finite and > 0")
         if not 0 < self.stride_freq < 0.5:
             raise InputError(f"stride frequency must be in (0, 0.5), got {self.stride_freq}")
-        if self.leg_amp < 0 or self.arm_amp < 0 or self.bob_amp < 0 or self.sway_amp < 0:
-            raise InputError("amplitudes must be >= 0")
-        if self.noise_level < 0:
-            raise InputError(f"noise level must be >= 0, got {self.noise_level}")
+        if not all(0 <= a < math.inf for a in (self.leg_amp, self.arm_amp, self.bob_amp, self.sway_amp)):
+            raise InputError("amplitudes must be finite and >= 0")
+        if not math.isfinite(self.phase) or not math.isfinite(self.arm_phase):
+            raise InputError("phases must be finite")
+        if not 0 <= self.noise_level < math.inf:
+            raise InputError(f"noise level must be finite and >= 0, got {self.noise_level}")
 
 
 # Sampling ranges; chosen wide enough that two random identities differ in

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from gaitpt import numcore as nc
 from gaitpt.errors import ConfigError, NumericError, ShapeError
@@ -161,6 +162,83 @@ def test_gelu_monotone_on_grid():
     xs = np.linspace(-0.5, 6.0, 200)  # monotone region starts left of 0
     ys = nc.gelu(t64(xs)).data
     assert np.all(np.diff(ys) > 0)
+
+
+def _gelu_f64_formula(x):
+    """The float64 GELU as scipy's erf gives it, with its VJP's pdf."""
+    cdf = 0.5 * (1.0 + scipy.special.erf(x / np.sqrt(np.asarray(2.0))))
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(np.asarray(2.0 * np.pi))
+    return x * cdf, cdf + x * pdf
+
+
+def _f32_gelu_probes():
+    edge = np.float32(4.0 * math.sqrt(2.0))  # where the rational's clamp starts
+    edges = [e for s in (edge, -edge) for e in (s, np.nextafter(s, np.float32(-np.inf)),
+                                                 np.nextafter(s, np.float32(np.inf)))]
+    extremes = [1e4, -1e4, 3e38, -3e38, 0.0, -0.0]
+    grid = np.linspace(-8.0, 8.0, 400_001)
+    return np.concatenate([grid, extremes, edges]).astype(np.float32), edge
+
+
+def test_float32_gelu_matches_float64_erf_within_bound():
+    x, edge = _f32_gelu_probes()
+    y = nc.gelu(Tensor(x)).data
+    assert y.dtype == np.float32
+    wide = x.astype(np.float64)
+    err = np.abs(y - _gelu_f64_formula(wide)[0])
+    assert np.all(err <= 5e-7 * np.maximum(1.0, np.abs(wide))), float(np.max(err))
+    # past the clamp edge float32 Phi is exactly 0 or 1, and the sign of zero is kept
+    assert np.array_equal(y[x > edge], x[x > edge])
+    assert np.all(y[x < -edge] == 0.0)
+    zeros = nc.gelu(Tensor(np.array([0.0, -0.0], dtype=np.float32))).data
+    assert np.array_equal(np.signbit(zeros), [False, True])
+
+
+def test_float32_gelu_is_monotone_and_its_cdf_stays_in_unit_interval():
+    xs = np.linspace(-0.5, 8.0, 200_001).astype(np.float32)
+    assert np.all(np.diff(nc.gelu(Tensor(xs)).data) >= 0)
+    _, cdf = nc._gelu_f32(_f32_gelu_probes()[0])
+    assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, nc.GELU_BLOCK - 1, nc.GELU_BLOCK + 1, 3 * nc.GELU_BLOCK + 1234])
+def test_float32_gelu_blocks_agree_with_one_unblocked_pass(n, monkeypatch):
+    x = np.random.default_rng(n).normal(scale=3.0, size=n).astype(np.float32)
+    blocked = nc._gelu_f32(x)
+    monkeypatch.setattr(nc, "GELU_BLOCK", max(n, 1))
+    whole = nc._gelu_f32(x)
+    assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+
+
+@pytest.mark.parametrize("shape", [(), (3, 5, 7), (2, nc.GELU_BLOCK + 3)])
+def test_float32_gelu_keeps_dtype_and_shape(shape):
+    x = np.random.default_rng(4).normal(size=shape).astype(np.float32)
+    leaf = Tensor(x, requires_grad=True)
+    with GradTape():
+        y = nc.gelu(leaf)
+        nc.backward_from(y, np.ones(shape, dtype=np.float32))
+    assert y.data.dtype == leaf.grad.data.dtype == np.float32
+    assert y.shape == leaf.grad.shape == shape
+
+
+def test_float32_gelu_gradient_tracks_float64():
+    x = np.linspace(-8.0, 8.0, 4001)
+    leaf = Tensor(x.astype(np.float32), requires_grad=True)
+    with GradTape():
+        nc.backward(nc.tensor_sum(nc.gelu(leaf)))
+    assert np.max(np.abs(leaf.grad.data - _gelu_f64_formula(x)[1])) < 2e-6
+
+
+def test_float64_gelu_is_the_scipy_erf_formula_bitwise():
+    x = np.random.default_rng(5).normal(scale=4.0, size=(40, 50))
+    g = np.random.default_rng(6).normal(size=x.shape)
+    leaf = Tensor(x, requires_grad=True)
+    with GradTape():
+        y = nc.gelu(leaf)
+        nc.backward_from(y, g)
+    out, slope = _gelu_f64_formula(x)
+    assert np.array_equal(y.data, out)
+    assert np.array_equal(leaf.grad.data, g * slope)
 
 
 # ---------------------------------------------------------------------------

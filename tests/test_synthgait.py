@@ -1,6 +1,7 @@
 """Synthetic walker: determinism, kinematic structure, identity
 separability, and dataset building."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,13 @@ def test_identity_params_validation():
         replace(good, leg_amp=-0.1)
     with pytest.raises(InputError):
         replace(good, noise_level=-1.0)
+
+
+@pytest.mark.parametrize("field", ["thigh", "leg_amp", "phase", "noise_level"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_identity_params_reject_non_finite_values(field, value):
+    with pytest.raises(InputError, match="finite"):
+        replace(ident(), **{field: value})
 
 
 # ---------------------------------------------------------------------------

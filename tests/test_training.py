@@ -194,6 +194,16 @@ def test_adamw_rejects_a_gradient_of_another_dtype():
     assert np.array_equal(params["w"].value.data, np.ones(3, dtype=np.float32))
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1])
+def test_adamw_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    params = make_params({"w": [1.0, -2.0]})
+    state = OptimizerState.for_params(params)
+    with pytest.raises(ConfigError, match="learning rate must be finite and > 0"):
+        adamw_step(params, {"w": np.ones(2)}, state, lr=lr)
+    assert np.array_equal(params["w"].value.data, [1.0, -2.0])
+    assert state.step == 0
+
+
 def test_adamw_moment_shapes_track_parameters():
     params = make_params({"a": np.zeros((2, 3)), "b": np.zeros(4)})
     state = OptimizerState.for_params(params)
