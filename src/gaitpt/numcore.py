@@ -14,6 +14,16 @@ backward pass in float64.
 GELU's normal CDF comes from ``scipy.special.erf`` in float64. In float32 it
 is a clamped rational approximation evaluated with in-place numpy ufuncs,
 within 5e-7 * max(1, |x|) of the float64 GELU (tested).
+
+A tape retains only what its backward pass reads. Each node keeps its
+output's slot (its own index on the tape) and, per input, the slot of an
+input this tape produced, the `Tensor` itself for a leaf (a parameter or an
+output of another tape), or None for an input that needs no gradient.
+Intermediate tensors are therefore freed as soon as the forward pass drops
+them; a VJP closure holds shapes plus the arrays it reads: an operand of
+`mul` or `matmul` only when the other input needs a gradient, both operands
+of `div`, softmax's output, sqrt's root, relu's mask, GELU's slope
+cdf + x pdf, and layer norm's normalized input, inverse deviation and gain.
 """
 
 from __future__ import annotations
@@ -37,6 +47,10 @@ class GradTape:
     input requires a gradient. A tape is single-writer: never record onto one
     tape from two concurrent contexts. Replaying (see `backward`) consumes
     the record, releasing intermediate buffers as it walks.
+
+    The record holds no intermediate tensor: nodes name this tape's outputs
+    by slot, hold only leaves, and their VJPs keep shapes and the arrays
+    they read (see the module docstring).
     """
 
     def __init__(self):
@@ -63,12 +77,14 @@ def _active_tape() -> GradTape | None:
 
 
 class _Node:
-    """One recorded primitive: output, inputs, and the VJP closure."""
+    """One recorded primitive: its output's slot, one reference per input
+    (a slot on this tape, a leaf `Tensor`, or None when no gradient is
+    needed) and the VJP closure."""
 
-    __slots__ = ("out", "inputs", "vjp")
+    __slots__ = ("slot", "inputs", "vjp")
 
-    def __init__(self, out: "Tensor", inputs: tuple["Tensor", ...], vjp):
-        self.out = out
+    def __init__(self, slot: int, inputs: tuple, vjp):
+        self.slot = slot
         self.inputs = inputs
         self.vjp = vjp
 
@@ -80,7 +96,7 @@ class Tensor:
     every op in this module; new tensors are produced instead of mutating.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -92,6 +108,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Tensor | None = None
         self._tape: GradTape | None = None
+        self._slot: int | None = None  # node index on `_tape`
 
     # -- introspection ------------------------------------------------------
 
@@ -125,21 +142,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __getitem__(self, key):
         return tensor_slice(self, key)
@@ -179,14 +181,27 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    """Attach `out` to the active tape when any input tracks gradients;
-    with no tape active, `out` is returned untouched."""
+def _recording(*inputs: Tensor) -> GradTape | None:
+    """The tape an op on `inputs` records onto, or None if it records nothing."""
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+    """Attach `out` to the active tape when any input tracks gradients;
+    with no tape active, `out` is returned untouched. The node refers to
+    each input by slot, as a leaf, or not at all (see `_Node`)."""
+    tape = _recording(*inputs)
+    if tape is not None:
+        refs = tuple(
+            t._slot if t._tape is tape else (t if t.requires_grad else None) for t in inputs
+        )
         out.requires_grad = True
-        tape._nodes.append(_Node(out, inputs, vjp))
         out._tape = tape
+        out._slot = len(tape._nodes)
+        tape._nodes.append(_Node(out._slot, refs, vjp))
     return out
 
 
@@ -211,9 +226,10 @@ def add(a, b) -> Tensor:
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record(out, (a, b), vjp)
 
@@ -222,9 +238,10 @@ def sub(a, b) -> Tensor:
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record(out, (a, b), vjp)
 
@@ -233,9 +250,15 @@ def mul(a, b) -> Tensor:
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     out = Tensor(a.data * b.data)
+    sa, sb = a.shape, b.shape
+    # each gradient reads the other operand; keep it only if that gradient is needed
+    xa = a.data if b.requires_grad else None
+    xb = b.data if a.requires_grad else None
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = None if xb is None else _unbroadcast(g * xb, sa)
+        gb = None if xa is None else _unbroadcast(g * xa, sb)
+        return ga, gb
 
     return _record(out, (a, b), vjp)
 
@@ -244,10 +267,11 @@ def div(a, b) -> Tensor:
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     out = Tensor(a.data / b.data)
+    xa, xb, sa, sb = a.data, b.data, a.shape, b.shape
 
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / xb, sa)
+        gb = _unbroadcast(-g * xa / (xb * xb), sb)
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -338,16 +362,18 @@ def gelu(a) -> Tensor:
         cdf = 0.5 * (1.0 + _erf(x / np.sqrt(np.asarray(2.0, dtype=x.dtype))))
         y = x * cdf
     out = Tensor(y)
+    if _recording(a) is None:
+        return out
+    # The slope d = cdf + x * pdf, in place; the VJP keeps d alone, not x and cdf.
+    d = np.multiply(x, -0.5, out=np.empty_like(x))
+    d *= x
+    np.exp(d, out=d)
+    d /= np.sqrt(np.asarray(2.0 * np.pi, dtype=x.dtype))
+    d *= x
+    d += cdf
 
-    def vjp(g):  # g * (cdf + x * pdf), in place in g's dtype
-        d = np.multiply(x, -0.5, out=np.empty_like(g))
-        d *= x
-        np.exp(d, out=d)
-        d /= np.sqrt(np.asarray(2.0 * np.pi, dtype=x.dtype))
-        d *= x
-        d += cdf
-        d *= g
-        return (d,)
+    def vjp(g):  # g has x's dtype, so this rounds as g * d would
+        return (np.multiply(d, g, out=d),)
 
     return _record(out, (a,), vjp)
 
@@ -474,10 +500,14 @@ def matmul(a, b) -> Tensor:
     except ValueError as e:  # batch extents not broadcastable
         raise ShapeError(f"matmul batch extents incompatible: {a.shape} @ {b.shape}") from e
 
+    sa, sb = a.shape, b.shape
+    xa = a.data if b.requires_grad else None  # as in `mul`
+    xb = b.data if a.requires_grad else None
+
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = None if xb is None else _unbroadcast(g @ np.swapaxes(xb, -1, -2), sa)
+        gb = None if xa is None else _unbroadcast(np.swapaxes(xa, -1, -2) @ g, sb)
+        return ga, gb
 
     return _record(out, (a, b), vjp)
 
@@ -531,11 +561,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xn = xc * inv
     out = Tensor(xn * gain.data + bias.data)
     n = x.shape[-1]
+    w = gain.data
 
     def vjp(g):
         dgain = (g * xn).reshape(-1, n).sum(axis=0)
         dbias = g.reshape(-1, n).sum(axis=0)
-        dxn = g * gain.data
+        dxn = g * w
         dx = inv * (
             dxn
             - dxn.mean(axis=-1, keepdims=True)
@@ -622,27 +653,22 @@ def backward_from(output: Tensor, cotangent: np.ndarray) -> None:
     if cotangent.shape != output.shape:
         raise ShapeError(f"cotangent shape {cotangent.shape} != output shape {output.shape}")
 
-    grads: dict[int, np.ndarray] = {id(output): cotangent}
-    holders: dict[int, Tensor] = {}
+    # Cotangents keyed by slot for this tape's outputs, by the Tensor itself
+    # (identity hash) for leaves; a slot's entry is popped at its node.
+    grads: dict = {output._slot: cotangent}
     for node in reversed(tape._nodes):
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node.slot, None)
         if g is not None:
-            for t, gi in zip(node.inputs, node.vjp(g)):
-                if gi is None or not t.requires_grad:
+            for ref, gi in zip(node.inputs, node.vjp(g)):
+                if ref is None or gi is None:
                     continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
-                    if t._tape is not tape:  # this tape's outputs pass g on at their node
-                        holders[key] = t
+                grads[ref] = grads[ref] + gi if ref in grads else gi
         # release the record as we go so peak memory stays near the forward pass
-        node.out = node.inputs = node.vjp = None
+        node.inputs = node.vjp = None
     tape._nodes.clear()
 
-    for key, t in holders.items():
-        g = grads[key].reshape(t.shape)
+    for t, g in grads.items():  # only leaves are left
+        g = g.reshape(t.shape)
         t.grad = Tensor(g) if t.grad is None else Tensor(t.grad.data + g)
 
 

@@ -187,11 +187,13 @@ def test_adamw_descends_a_quadratic():
 
 
 def test_adamw_rejects_a_gradient_of_another_dtype():
-    params = {"w": Parameter("w", Tensor(np.ones(3, dtype=np.float32)))}
+    params = {"a": Parameter("a", Tensor(np.ones(2, dtype=np.float32))),
+              "w": Parameter("w", Tensor(np.ones(3, dtype=np.float32)))}
     state = OptimizerState.for_params(params)
     with pytest.raises(ShapeError, match="gradient for w has dtype float64, parameter float32"):
-        adamw_step(params, {"w": np.ones(3)}, state, lr=0.1)
-    assert np.array_equal(params["w"].value.data, np.ones(3, dtype=np.float32))
+        adamw_step(params, {"a": np.ones(2, dtype=np.float32), "w": np.ones(3)}, state, lr=0.1)
+    assert all(np.array_equal(p.value.data, np.ones(p.shape, dtype=np.float32)) for p in params.values())
+    assert state.step == 0 and not state.m["a"].any()
 
 
 @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1])
@@ -202,6 +204,25 @@ def test_adamw_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
         adamw_step(params, {"w": np.ones(2)}, state, lr=lr)
     assert np.array_equal(params["w"].value.data, [1.0, -2.0])
     assert state.step == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("beta1", math.nan), ("beta1", 1.0), ("beta1", -0.1), ("beta2", math.nan), ("beta2", 1.0),
+    ("eps", math.nan), ("eps", 0.0), ("eps", -1.0),
+    ("weight_decay", math.nan), ("weight_decay", -1.0), ("weight_decay", math.inf),
+])
+def test_adamw_rejects_hyperparameters_train_config_rejects(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        TrainConfig(**{name: value})
+    params = make_params({"w": [1.0, -2.0]})
+    state = OptimizerState.for_params(params)
+    adamw_step(params, {"w": np.ones(2)}, state, lr=0.1)
+    before = (params["w"].value.data.copy(), state.m["w"].copy(), state.v["w"].copy())
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        adamw_step(params, {"w": np.ones(2)}, state, lr=0.1, **{name: value})
+    after = (params["w"].value.data, state.m["w"], state.v["w"])
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+    assert state.step == 1
 
 
 def test_adamw_moment_shapes_track_parameters():
