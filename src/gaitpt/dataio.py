@@ -58,20 +58,17 @@ class SequenceRecord:
         object.__setattr__(self, "frames", arr)
 
 
-def sequence_to_record(seq: GaitSequence, frame_width: float = 1.0) -> SequenceRecord:
-    """Store a normalized in-memory sequence; joint 17 (the duplicated nose)
-    is dropped and coordinates are scaled back out by `frame_width`."""
-    frames = seq.frames[:, :RAW_JOINTS]
-    if frame_width != 1.0:
-        frames = frames * frame_width
+def sequence_to_record(seq: GaitSequence) -> SequenceRecord:
+    """Store a normalized in-memory sequence with frame width 1.0; joint 17
+    (the duplicated nose) is dropped."""
     return SequenceRecord(
         key=seq.key or sequence_key(seq.subject_id, seq.condition, seq.view, seq.session),
         subject_id=seq.subject_id,
         condition=seq.condition.value,
         view=seq.view,
         session=seq.session,
-        frame_width=float(frame_width),
-        frames=frames,
+        frame_width=1.0,
+        frames=seq.frames[:, :RAW_JOINTS],
     )
 
 
@@ -132,14 +129,17 @@ def read_records(path) -> list[SequenceRecord]:
         missing = set(_RECORD_KEYS) - set(_OPTIONAL_RECORD_KEYS) - set(obj)
         if missing:
             raise DataFormatError(f"{path} line {lineno}: missing keys {sorted(missing)}")
+        for name in ("view", "session"):
+            if type(obj.get(name, 1)) is not int:  # bools and floats are not integers
+                raise DataFormatError(f"{path} line {lineno}: {name} must be an integer, got {obj[name]!r}")
         try:
             records.append(
                 SequenceRecord(
                     key=str(obj["key"]),
                     subject_id=str(obj["subject_id"]),
                     condition=str(obj["condition"]),
-                    view=int(obj["view"]),
-                    session=int(obj.get("session", 1)),
+                    view=obj["view"],
+                    session=obj.get("session", 1),
                     frame_width=float(obj["frame_width"]),
                     frames=obj["frames"],
                 )
@@ -150,7 +150,7 @@ def read_records(path) -> list[SequenceRecord]:
 
 
 def read_sequences(path) -> list[GaitSequence]:
-    """Load validated, normalized 18-joint sequences."""
+    """Load validated, normalized 18-joint sequences (none from an empty file)."""
     out = []
     for rec in read_records(path):
         try:
@@ -217,14 +217,25 @@ def load_manifest(path) -> Manifest:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    for key in ("dataset_name", "seed", "files", "splits"):
-        if key not in obj:
-            raise DataFormatError(f"{path}: manifest is missing {key!r}")
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}: manifest is not a JSON object")
+    files, splits = obj.get("files"), obj.get("splits")
+    for key, rule, ok in (
+        ("dataset_name", "a string", isinstance(obj.get("dataset_name"), str)),
+        ("seed", "an integer", type(obj.get("seed")) is int),
+        ("files", "an object of file names",
+         isinstance(files, dict) and all(isinstance(f, str) for f in files.values())),
+        ("splits", "an object of key lists", isinstance(splits, dict) and all(
+            isinstance(keys, list) and all(isinstance(k, str) for k in keys) for keys in splits.values())),
+    ):
+        if not ok:
+            problem = f"must be {rule}" if key in obj else "is missing"
+            raise DataFormatError(f"{path}: manifest field {key!r} {problem}")
     manifest = Manifest(
         dataset_name=obj["dataset_name"],
-        seed=int(obj["seed"]),
-        files=dict(obj["files"]),
-        splits={k: list(v) for k, v in obj["splits"].items()},
+        seed=obj["seed"],
+        files=files,
+        splits=splits,
         generator=obj.get("generator"),
     )
     for split, fname in manifest.files.items():
@@ -278,11 +289,11 @@ def save_checkpoint(model: GaitPTModel, path) -> Path:
     return path
 
 
-def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPTModel:
+def load_checkpoint(path) -> GaitPTModel:
     """Rebuild a model bitwise from a checkpoint file.
 
-    Rejects version mismatches, truncated or corrupted payloads, and (when
-    `expected_config` is given) configs that disagree with the caller's.
+    Rejects version mismatches, truncated or corrupted payloads, and
+    malformed headers.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -311,10 +322,6 @@ def load_checkpoint(path, expected_config: GaitPTConfig | None = None) -> GaitPT
         config = GaitPTConfig(**header["model_config"])
     except (KeyError, TypeError, ConfigError) as e:
         raise DataFormatError(f"{path}: invalid model config in header: {e}") from e
-    if expected_config is not None and config != expected_config:
-        raise ConfigError(
-            f"{path}: checkpoint config {config.to_dict()} does not match requested {expected_config.to_dict()}"
-        )
 
     table = header["params"]
     if not (isinstance(table, list) and all(
@@ -358,40 +365,6 @@ def write_embeddings(embset: EmbeddingSet, path) -> Path:
             }
             fh.write(json.dumps(obj) + "\n")
     return path
-
-
-def read_embeddings(path) -> EmbeddingSet:
-    """Parse a JSONL embedding file; every problem is reported with its line
-    (or byte offset, for non-text files)."""
-    path = Path(path)
-    keys, subjects, conditions, views, sessions, vectors = [], [], [], [], [], []
-    for lineno, obj in _jsonl_objects(path):
-        try:
-            vector = np.asarray(obj["embedding"], dtype=np.float64)
-            if vector.ndim != 1:
-                raise ValueError(f"embedding must be a flat list, got shape {vector.shape}")
-            if vectors and vector.size != vectors[0].size:
-                raise ValueError(f"embedding has {vector.size} entries, earlier rows {vectors[0].size}")
-            if not np.isfinite(vector).all():
-                raise ValueError("embedding holds non-finite values")
-            keys.append(str(obj["key"]))
-            subjects.append(str(obj["subject_id"]))
-            conditions.append(Condition(obj["condition"]))
-            views.append(int(obj["view"]))
-            sessions.append(int(obj.get("session", 1)))
-            vectors.append(vector)
-        except (KeyError, ValueError, TypeError) as e:
-            raise DataFormatError(f"{path} line {lineno}: {e}") from e
-    if not vectors:
-        raise DataFormatError(f"{path}: no embedding rows")
-    return EmbeddingSet(
-        keys=tuple(keys),
-        subject_ids=tuple(subjects),
-        conditions=tuple(conditions),
-        views=np.array(views),
-        sessions=np.array(sessions),
-        embeddings=np.stack(vectors),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,9 @@ class EmbeddingSet:
 
 
 def embed_sequence_set(model: GaitPTModel, seqs: Sequence[GaitSequence]) -> EmbeddingSet:
-    """Embed the head window of each sequence into an EmbeddingSet."""
+    """Embed the head window of each sequence (at least one) into an EmbeddingSet."""
+    if not seqs:
+        raise InputError("no sequences to embed")
     window = model.config.sequence_length
     short = [i for i, s in enumerate(seqs) if len(s) < window]
     if short:
@@ -162,16 +164,15 @@ class EvalReport:
         return buf.getvalue()
 
 
-def casia_eval(embeddings: EmbeddingSet, views: Sequence[int] = CASIA_VIEWS) -> EvalReport:
+def casia_eval(embeddings: EmbeddingSet) -> EvalReport:
     """Cross-view protocol: normal-walk sessions 1-4 enroll the gallery; the
     probe sets are later normal sessions plus all bag and coat sequences.
 
-    Every (gallery view, probe view, condition) pair is scored by rank-1
-    accuracy except identical views; a probe view's mean therefore averages
-    the other 10 gallery views, and a condition's score averages all 11
-    probe views.
+    Every (gallery view, probe view, condition) pair of the 11 `CASIA_VIEWS`
+    is scored by rank-1 accuracy except identical views; a probe view's mean
+    therefore averages the other 10 gallery views, and a condition's score
+    averages all 11 probe views.
     """
-    views = tuple(views)
     cond = np.array([c.value for c in embeddings.conditions])
     gallery_mask = (cond == "NM") & np.isin(embeddings.sessions, GALLERY_SESSIONS)
     probe_masks = {
@@ -180,25 +181,25 @@ def casia_eval(embeddings: EmbeddingSet, views: Sequence[int] = CASIA_VIEWS) -> 
         "CL": cond == "CL",
     }
 
-    gaps = [f"gallery NM#1-4 missing at view {v}" for v in views
+    gaps = [f"gallery NM#1-4 missing at view {v}" for v in CASIA_VIEWS
             if not np.any(gallery_mask & (embeddings.views == v))]
     scored = [c for c, m in probe_masks.items() if np.any(m)]
     if not scored:
         gaps.append("no probe rows in any of NM#5+, BG, CL")
     for c in scored:
         gaps.extend(
-            f"probe {c} missing at view {v}" for v in views
+            f"probe {c} missing at view {v}" for v in CASIA_VIEWS
             if not np.any(probe_masks[c] & (embeddings.views == v))
         )
     if gaps:
         raise ProtocolError("protocol data gaps: " + "; ".join(gaps))
 
-    nv = len(views)
+    nv = len(CASIA_VIEWS)
     matrix = {c: np.full((nv, nv), np.nan) for c in scored}
     for c in scored:
-        for i, pv in enumerate(views):
+        for i, pv in enumerate(CASIA_VIEWS):
             probe = embeddings.select(probe_masks[c] & (embeddings.views == pv))
-            for j, gv in enumerate(views):
+            for j, gv in enumerate(CASIA_VIEWS):
                 if gv == pv:
                     continue
                 gallery = embeddings.select(gallery_mask & (embeddings.views == gv))
@@ -209,7 +210,7 @@ def casia_eval(embeddings: EmbeddingSet, views: Sequence[int] = CASIA_VIEWS) -> 
     return EvalReport(
         protocol="casia",
         conditions=tuple(scored),
-        views=views,
+        views=CASIA_VIEWS,
         matrix=matrix,
         probe_view_means=probe_view_means,
         condition_means=condition_means,

@@ -30,6 +30,7 @@ from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 DEFAULT_DIMS = (32, 64, 128, 256)
 INPUT_CHANNELS = 2
 FFN_MULTIPLIER = 4  # feed-forward hidden width per model width
+EMBED_CHUNK = 64    # windows per inference batch in `embed_arrays`
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,12 @@ class StageConfig:
     active: bool = True
 
     @property
-    def has_spatial(self) -> bool:
-        """The body-level stage (4) holds one token, so it has no spatial encoder."""
-        return self.index < 4
-
-    @property
     def encoders(self) -> tuple[str, ...]:
-        """Encoder kinds this stage runs, in forward order."""
+        """Encoder kinds this stage runs, in forward order; the body-level
+        stage (4) holds one token, so it has no spatial encoder."""
         if not self.active:
             return ()
-        return ("spatial", "temporal") if self.has_spatial else ("temporal",)
+        return ("spatial", "temporal") if self.index < 4 else ("temporal",)
 
 
 def _four_ints(name: str, value, scalar_ok: bool) -> tuple[int, ...]:
@@ -419,11 +416,11 @@ class GaitPTModel:
         emb = nc.linear(merged, p["head.w"], p["head.b"])
         return _l2_normalize(emb)
 
-    def embed_arrays(self, windows: np.ndarray, chunk: int = 64) -> np.ndarray:
-        """Inference-mode embeddings for stacked windows (N, n, 18, 2)."""
+    def embed_arrays(self, windows: np.ndarray) -> np.ndarray:
+        """Inference-mode embeddings for stacked windows (N, n, 18, 2), `EMBED_CHUNK` at a time."""
         outs = []
-        for start in range(0, windows.shape[0], chunk):
-            outs.append(self.embed_batch(windows[start : start + chunk]).data)
+        for start in range(0, windows.shape[0], EMBED_CHUNK):
+            outs.append(self.embed_batch(windows[start : start + EMBED_CHUNK]).data)
         return np.concatenate(outs, axis=0)
 
 

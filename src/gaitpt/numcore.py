@@ -29,7 +29,7 @@ cdf + x pdf, and layer norm's normalized input, inverse deviation and gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -277,12 +277,6 @@ def div(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
-
-
 def sqrt(a) -> Tensor:
     """Elementwise square root; the adjoint at 0 is taken to be 0."""
     a = _as_tensor(a)
@@ -389,11 +383,8 @@ def reshape(a, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(old),))
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor(np.transpose(a.data, axes))
     return _record(out, (a,), lambda g: (np.transpose(g, inv),))
@@ -542,10 +533,8 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     x = _as_tensor(x)
     gain = _as_tensor(gain, x)
     bias = _as_tensor(bias, x)
@@ -557,7 +546,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xn = xc * inv
     out = Tensor(xn * gain.data + bias.data)
     n = x.shape[-1]
@@ -684,7 +673,6 @@ class GradCheckReport:
     tol: float
     checked: int
     total: int
-    worst_index: tuple[int, ...] = field(default=())
 
     @property
     def passed(self) -> bool:
@@ -726,7 +714,6 @@ def grad_check(
 
     base = x.data.reshape(-1).copy()
     max_rel = 0.0
-    worst = 0
     for i in coords:
         probe = base.copy()
         probe[i] = base[i] + h
@@ -735,13 +722,11 @@ def grad_check(
         fm = f(Tensor(probe.reshape(x.shape))).item()
         numeric = (fp - fm) / (2.0 * h)
         rel = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]), abs(numeric))
-        if rel > max_rel:
-            max_rel, worst = rel, int(i)
+        max_rel = max(max_rel, rel)
 
     return GradCheckReport(
         max_rel_err=float(max_rel),
         tol=tol,
         checked=len(coords),
         total=int(x.size),
-        worst_index=tuple(np.unravel_index(worst, x.shape)),
     )

@@ -189,8 +189,29 @@ def test_embed_writes_readable_embeddings(workdir, tmp_path, capsys):
     rc = main(["embed", "--data", str(workdir / "ds" / "probe.jsonl"),
                "--ckpt", str(workdir / "model.ckpt"), "--out", str(out)])
     assert rc == 0
-    emb = dataio.read_embeddings(out)
-    assert emb.embeddings.shape[1] == 16
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    probe = dataio.read_records(workdir / "ds" / "probe.jsonl")
+    assert [row["key"] for row in rows] == [rec.key for rec in probe]
+    for row in rows:
+        vector = np.array(row["embedding"])
+        assert vector.shape == (16,) and abs(np.linalg.norm(vector) - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--data", "{empty}", "--out", "{tmp}/emb.jsonl"],
+    ["eval", "--gallery", "{empty}", "--probe", "{probe}"],
+    ["eval", "--gallery", "{gallery}", "--probe", "{empty}"],
+    ["eval", "--gallery", "{gallery}", "--probe", "{empty}", "--protocol", "casia"],
+], ids=["embed", "eval-gallery", "eval-probe", "eval-casia-probe"])
+def test_empty_record_file_exits_3_naming_it(workdir, tmp_path, capsys, argv):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert dataio.read_sequences(empty) == []  # an empty file is still a valid record file
+    names = {"empty": empty, "tmp": tmp_path,
+             "gallery": workdir / "ds" / "gallery.jsonl", "probe": workdir / "ds" / "probe.jsonl"}
+    rc = main([arg.format(**names) for arg in argv] + ["--ckpt", str(workdir / "model.ckpt")])
+    assert rc == 3
+    assert f"{empty}: no sequence records" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["frames", "frame_width"])

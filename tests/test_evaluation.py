@@ -168,6 +168,11 @@ def test_embed_sequence_set_dedupes_default_keys():
     assert embset.keys == ("s0-NM-v000-01", "s0-NM-v000-01#1", "s0-NM-v000-01#2")
 
 
+def test_embed_sequence_set_rejects_an_empty_list():
+    with pytest.raises(InputError, match="no sequences"):
+        embed_sequence_set(GaitPTModel(tiny_config(), seed=0), [])
+
+
 def test_casia_all_correct_gives_ones():
     report = casia_eval(casia_fixture(SUBJECTS4))
     for cond in ("NM", "BG", "CL"):
