@@ -95,17 +95,21 @@ def write_records(records, path) -> Path:
     return path
 
 
+def _utf8_text(path: Path, error: type[Exception]) -> str:
+    """The file's text; a non-UTF-8 byte raises `error` naming its offset."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte offset {e.start})") from e
+
+
 def _jsonl_objects(path: Path):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
     Non-UTF-8 bytes are reported with their byte offset, and invalid JSON or
     a row that is not an object with its line.
     """
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not UTF-8 text (byte offset {e.start})") from e
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_utf8_text(path, DataFormatError).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -129,22 +133,29 @@ def read_records(path) -> list[SequenceRecord]:
         missing = set(_RECORD_KEYS) - set(_OPTIONAL_RECORD_KEYS) - set(obj)
         if missing:
             raise DataFormatError(f"{path} line {lineno}: missing keys {sorted(missing)}")
-        for name in ("view", "session"):
-            if type(obj.get(name, 1)) is not int:  # bools and floats are not integers
-                raise DataFormatError(f"{path} line {lineno}: {name} must be an integer, got {obj[name]!r}")
+        for name, rule, ok in (  # nothing is coerced, and bools are not numbers
+            ("key", "a string", isinstance(obj["key"], str)),
+            ("subject_id", "a string", isinstance(obj["subject_id"], str)),
+            ("condition", "a string", isinstance(obj["condition"], str)),
+            ("view", "an integer", type(obj["view"]) is int),
+            ("session", "an integer", type(obj.get("session", 1)) is int),
+            ("frame_width", "a number", type(obj["frame_width"]) in (int, float)),
+        ):
+            if not ok:
+                raise DataFormatError(f"{path} line {lineno}: {name} must be {rule}, got {obj[name]!r}")
         try:
             records.append(
                 SequenceRecord(
-                    key=str(obj["key"]),
-                    subject_id=str(obj["subject_id"]),
-                    condition=str(obj["condition"]),
+                    key=obj["key"],
+                    subject_id=obj["subject_id"],
+                    condition=obj["condition"],
                     view=obj["view"],
                     session=obj.get("session", 1),
                     frame_width=float(obj["frame_width"]),
                     frames=obj["frames"],
                 )
             )
-        except (DataFormatError, ValueError, TypeError) as e:
+        except (DataFormatError, ValueError, TypeError, OverflowError) as e:
             raise DataFormatError(f"{path} line {lineno}: {e}") from e
     return records
 
@@ -213,8 +224,7 @@ def write_manifest(manifest: Manifest, path) -> Path:
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = json.loads(_utf8_text(path, DataFormatError))
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(obj, dict):
@@ -407,8 +417,7 @@ def config_from_dict(obj: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = json.loads(_utf8_text(path, ConfigError))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     return config_from_dict(obj)

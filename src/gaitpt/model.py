@@ -30,7 +30,7 @@ from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 DEFAULT_DIMS = (32, 64, 128, 256)
 INPUT_CHANNELS = 2
 FFN_MULTIPLIER = 4  # feed-forward hidden width per model width
-EMBED_CHUNK = 64    # windows per inference batch in `embed_arrays`
+EMBED_CHUNK = 16    # windows per `embed_arrays` batch: cache-sized, and fixed so GEMM shapes never vary
 
 
 @dataclass(frozen=True)
@@ -417,12 +417,14 @@ class GaitPTModel:
         return _l2_normalize(emb)
 
     def embed_arrays(self, windows: np.ndarray) -> np.ndarray:
-        """Inference-mode embeddings for stacked windows (N, n, 18, 2), `EMBED_CHUNK` at a time."""
-        outs = []
-        for start in range(0, windows.shape[0], EMBED_CHUNK):
-            outs.append(self.embed_batch(windows[start : start + EMBED_CHUNK]).data)
-        return np.concatenate(outs, axis=0)
+        """Inference-mode embeddings for stacked windows (N, n, 18, 2).
 
-
-def param_count(model: GaitPTModel) -> int:
-    return model.param_count()
+        Runs chunks of exactly `EMBED_CHUNK` windows, padding the last with
+        copies of its last window and dropping those rows, so a window's
+        embedding is bitwise the same whatever else it is embedded with.
+        """
+        n = windows.shape[0]
+        padded = np.pad(windows, [(0, -n % EMBED_CHUNK)] + [(0, 0)] * (windows.ndim - 1), mode="edge")
+        outs = [self.embed_batch(padded[start : start + EMBED_CHUNK]).data
+                for start in range(0, padded.shape[0], EMBED_CHUNK)]
+        return np.concatenate(outs, axis=0)[:n]

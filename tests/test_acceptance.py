@@ -25,7 +25,7 @@ from gaitpt.evaluation import (
     rank_k_accuracy,
     welch_t_test,
 )
-from gaitpt.model import GaitPTConfig, GaitPTModel, param_count
+from gaitpt.model import GaitPTConfig, GaitPTModel
 from gaitpt.skeleton import Condition
 from gaitpt.synthgait import SynthConfig, generate_split_sequences
 from gaitpt.training import TrainConfig, batch_hard_mine, cyclic_lr, train, triplet_loss
@@ -73,7 +73,7 @@ def test_criterion_2_architecture_ledger():
         emb = model.embed_batch(x, trace=trace)
         assert [(t, c) for _, t, c in trace] == [(18, 32), (5, 64), (3, 128), (1, 256)]
         assert emb.shape == (1, 256)
-        assert 2_000_000 <= param_count(model) <= 8_000_000
+        assert 2_000_000 <= model.param_count() <= 8_000_000
 
 
 # ---------------------------------------------------------------------------

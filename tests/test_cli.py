@@ -197,6 +197,20 @@ def test_embed_writes_readable_embeddings(workdir, tmp_path, capsys):
         assert vector.shape == (16,) and abs(np.linalg.norm(vector) - 1.0) < 1e-5
 
 
+def test_embed_row_does_not_depend_on_the_other_records(workdir, tmp_path):
+    probe = workdir / "ds" / "probe.jsonl"
+    lines = probe.read_text().splitlines(keepends=True)
+    ckpt = str(workdir / "model.ckpt")
+    assert main(["embed", "--data", str(probe), "--ckpt", ckpt, "--out", str(tmp_path / "all.jsonl")]) == 0
+    rows = (tmp_path / "all.jsonl").read_text().splitlines(keepends=True)
+    assert len(rows) == len(lines) > 1
+    for i, line in enumerate(lines):
+        (tmp_path / "one.jsonl").write_text(line)
+        assert main(["embed", "--data", str(tmp_path / "one.jsonl"), "--ckpt", ckpt,
+                     "--out", str(tmp_path / "row.jsonl")]) == 0
+        assert (tmp_path / "row.jsonl").read_text() == rows[i], f"probe line {i + 1}"
+
+
 @pytest.mark.parametrize("argv", [
     ["embed", "--data", "{empty}", "--out", "{tmp}/emb.jsonl"],
     ["eval", "--gallery", "{empty}", "--probe", "{probe}"],

@@ -117,6 +117,32 @@ def test_non_integer_view_or_session_is_rejected_by_line(tmp_path, field, value)
         dataio.read_records(path)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("key", 5, "a string"), ("key", None, "a string"), ("subject_id", True, "a string"),
+    ("subject_id", 7, "a string"), ("condition", ["NM"], "a string"),
+    ("frame_width", "1.0", "a number"), ("frame_width", True, "a number"),
+    ("frame_width", None, "a number"),
+])
+def test_mistyped_label_or_frame_width_is_rejected_by_line(tmp_path, field, value, rule):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_record_line() + _record_line(**{"key": "y", field: value}))
+    with pytest.raises(DataFormatError, match=f"line 2: {field} must be {rule}"):
+        dataio.read_records(path)
+
+
+def test_integer_frame_width_loads_as_float(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text(_record_line(frame_width=640))
+    assert dataio.read_records(path)[0].frame_width == 640.0
+
+
+def test_frame_width_too_large_for_a_float_is_rejected_by_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_record_line().replace('"frame_width": 640.0', '"frame_width": 1' + "0" * 400))
+    with pytest.raises(DataFormatError, match="line 1"):
+        dataio.read_records(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         dataio.read_records(tmp_path / "absent.jsonl")
@@ -191,6 +217,18 @@ def test_malformed_manifest_names_file_and_field(tmp_path, capsys, field, value)
     assert str(path) in str(err.value)
     assert main(["train", "--data", str(path), "--out", str(tmp_path / "m.ckpt")]) == 3
     assert expected in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_is_a_data_format_error(tmp_path, capsys):
+    dataio.write_records([make_record("k1")], tmp_path / "train.jsonl")
+    head = b'{"dataset_name": "d'
+    path = tmp_path / "manifest.json"
+    path.write_bytes(head + b'\xff", "seed": 0, "files": {"train": "train.jsonl"}, '
+                     b'"splits": {"train": ["k1"]}}')
+    with pytest.raises(DataFormatError, match=f"byte offset {len(head)}"):
+        dataio.load_manifest(path)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "m.ckpt")]) == 3
+    assert f"byte offset {len(head)}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +417,17 @@ def test_config_rejects_bad_margin(tmp_path):
     path.write_text(json.dumps({"train": {"margin": -1}}))
     with pytest.raises(ConfigError):
         dataio.load_config(path)
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    head = b'{"train": {"margin": 0.02}, "x": "'
+    path = tmp_path / "cfg.json"
+    path.write_bytes(head + b'\xff"}')
+    with pytest.raises(ConfigError, match=f"byte offset {len(head)}"):
+        dataio.load_config(path)
+    assert main(["train", "--data", str(tmp_path / "absent.json"), "--config", str(path),
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert f"byte offset {len(head)}" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys_with_path():

@@ -14,7 +14,6 @@ from gaitpt.model import (
     GaitPTConfig,
     GaitPTModel,
     joint_merge,
-    param_count,
     with_stages,
 )
 from gaitpt.numcore import Tensor
@@ -51,7 +50,7 @@ def test_default_config_ledger():
 
 def test_default_param_count_in_band():
     model = GaitPTModel(GaitPTConfig.build(), seed=0)
-    assert 2_000_000 <= param_count(model) <= 8_000_000
+    assert 2_000_000 <= model.param_count() <= 8_000_000
 
 
 def test_param_count_matches_hand_count_on_toy_config():
@@ -71,7 +70,7 @@ def test_param_count_matches_hand_count_on_toy_config():
     encoders = 7 * encoder          # spatial+temporal for stages 1-3, temporal for 4
     head = (7 * c) * 5 + 5
     expected = input_proj + merge1 + merge2 + merge3 + encoders + positional + head
-    assert param_count(model) == expected
+    assert model.param_count() == expected
 
 
 def test_doubling_dims_roughly_quadruples_matrix_weights():
@@ -329,6 +328,28 @@ def test_untaped_forward_does_not_track_gradients():
     assert not model.embed_batch(x).requires_grad
     with nc.GradTape():
         assert model.embed_batch(x).requires_grad
+
+
+# ---------------------------------------------------------------------------
+# batch-invariant inference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_embed_arrays_is_batch_invariant(dtype):
+    # a window's embedding must be bitwise the same alone, at any position
+    # of a smaller set, and inside the full set (criterion-6 model)
+    cfg = GaitPTConfig.build(dims=(16, 32, 64, 128), blocks=1, heads=2,
+                             sequence_length=20, output_dim=32, dtype=dtype)
+    model = GaitPTModel(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    windows = random_windows(66, 20, rng, dtype=cfg.np_dtype)
+    full = model.embed_arrays(windows)
+    assert full.shape == (66, 32) and full.dtype == cfg.np_dtype
+    for n in (1, 2, 5, 8, 9, 66):
+        order = rng.permutation(66)
+        for start in (0, 29, 61):
+            idx = np.take(order, range(start, start + n), mode="wrap")
+            assert np.array_equal(model.embed_arrays(windows[idx]), full[idx]), (n, start)
 
 
 def test_config_validation():
