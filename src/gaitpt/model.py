@@ -30,7 +30,7 @@ from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 DEFAULT_DIMS = (32, 64, 128, 256)
 INPUT_CHANNELS = 2
 FFN_MULTIPLIER = 4  # feed-forward hidden width per model width
-EMBED_CHUNK = 16    # windows per `embed_arrays` batch: cache-sized, and fixed so GEMM shapes never vary
+EMBED_CHUNK = 8     # windows per `embed_arrays` batch: cache-sized, and fixed so GEMM shapes never vary
 
 
 @dataclass(frozen=True)
