@@ -6,7 +6,6 @@ Uses two runs per variant to stay quick; the acceptance suite runs the
 5-seed version with a harder dataset.
 """
 
-from gaitpt.dataio import DatasetSplits
 from gaitpt.evaluation import ablation_run, partition_study, welch_t_test
 from gaitpt.model import GaitPTConfig
 from gaitpt.skeleton import Condition, PartitionScheme
@@ -17,13 +16,13 @@ raw = generate_split_sequences(SynthConfig(
     identities=6, sequences_per_identity=6, frames=30, views=(0, 90),
     conditions=(Condition.NM, Condition.CL), seed=3, noise_level=0.04,
 ))
-splits = DatasetSplits(
-    train=raw["train"],
-    gallery=[s for s in raw["gallery"] if s.view == 0],   # enroll frontal
-    probe=[s for s in raw["probe"] if s.view == 90],      # query side view
-)
-print(f"cross-view task: {len(splits.train)} train, {len(splits.gallery)} gallery (0 deg), "
-      f"{len(splits.probe)} probe (90 deg)")
+splits = {
+    "train": raw["train"],
+    "gallery": [s for s in raw["gallery"] if s.view == 0],   # enroll frontal
+    "probe": [s for s in raw["probe"] if s.view == 90],      # query side view
+}
+print(f"cross-view task: {len(splits['train'])} train, {len(splits['gallery'])} gallery (0 deg), "
+      f"{len(splits['probe'])} probe (90 deg)")
 
 model_cfg = GaitPTConfig.build(dims=(8, 16, 32, 64), blocks=1, heads=2,
                                sequence_length=20, output_dim=32)

@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     StatisticsError,
 )
-from .model import GaitPTConfig, GaitPTModel, StageConfig, with_stages
+from .model import GaitPTConfig, GaitPTModel, StageConfig
 from .numcore import GradTape, Parameter, Tensor, backward, grad_check
 from .skeleton import LIMB_GROUPS, Condition, GaitSequence, PartitionScheme
 
@@ -54,5 +54,4 @@ __all__ = [
     "Tensor",
     "backward",
     "grad_check",
-    "with_stages",
 ]

@@ -29,7 +29,7 @@ from .errors import (
     SamplingError,
     StatisticsError,
 )
-from .model import GaitPTConfig, GaitPTModel, with_stages
+from .model import GaitPTConfig, GaitPTModel
 from .numcore import AttentionWeights, Tensor
 from .skeleton import PartitionScheme
 from .training import train
@@ -91,20 +91,20 @@ def cmd_train(args) -> int:
     if args.scheme:
         model_cfg = replace(model_cfg, scheme=args.scheme)
     if args.stages:
-        model_cfg = with_stages(model_cfg, _int_list(args.stages))
+        model_cfg = replace(model_cfg, active_stages=_int_list(args.stages))
     train_cfg = run.train
     if args.epochs is not None:
         train_cfg = replace(train_cfg, epochs=args.epochs)
 
     splits = dataio.load_split_sequences(args.data)
-    if not splits.train:
+    if not splits["train"]:
         raise ConfigError(f"{args.data}: manifest has no train split")
     model = GaitPTModel(model_cfg, seed=train_cfg.seed)
 
     def save_epoch(trained, entry):
         dataio.save_checkpoint(trained, Path(args.checkpoint_dir) / f"epoch{entry['epoch']:03d}.ckpt")
 
-    train(model, splits.train, train_cfg,
+    train(model, splits["train"], train_cfg,
           on_epoch=save_epoch if args.checkpoint_dir is not None else None)
     dataio.save_checkpoint(model, args.out)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +19,14 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, IntegrityError
 from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
-from .skeleton import (
-    RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence, sequence_key,
-)
+from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
 from .training import TrainConfig
 
 CHECKPOINT_VERSION = 2
 
 _RECORD_KEYS = ("key", "subject_id", "condition", "view", "session", "frame_width", "frames")
 _OPTIONAL_RECORD_KEYS = ("session",)
+_INT64 = np.iinfo(np.int64)  # the range of a record's view and session
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def sequence_to_record(seq: GaitSequence) -> SequenceRecord:
     """Store a normalized in-memory sequence with frame width 1.0; joint 17
     (the duplicated nose) is dropped."""
     return SequenceRecord(
-        key=seq.key or sequence_key(seq.subject_id, seq.condition, seq.view, seq.session),
+        key=seq.key,
         subject_id=seq.subject_id,
         condition=seq.condition.value,
         view=seq.view,
@@ -103,6 +102,17 @@ def _utf8_text(path: Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 text (byte offset {e.start})") from e
 
 
+def _json_value(text: str | bytes, error: type[Exception], where: str):
+    """The JSON value of `text`; bytes must be UTF-8 (`json.loads` would also
+    take UTF-16 and UTF-32). Every ValueError it meets, be it bad UTF-8, bad
+    syntax or an integer past Python's int-to-str digit limit, raises `error`
+    naming `where`."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as e:
+        raise error(f"{where}: invalid JSON ({e})") from e
+
+
 def _jsonl_objects(path: Path):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
@@ -112,10 +122,7 @@ def _jsonl_objects(path: Path):
     for lineno, line in enumerate(_utf8_text(path, DataFormatError).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{path} line {lineno}: invalid JSON ({e.msg})") from e
+        obj = _json_value(line, DataFormatError, f"{path} line {lineno}")
         if not isinstance(obj, dict):
             raise DataFormatError(f"{path} line {lineno}: expected a JSON object")
         yield lineno, obj
@@ -133,12 +140,15 @@ def read_records(path) -> list[SequenceRecord]:
         missing = set(_RECORD_KEYS) - set(_OPTIONAL_RECORD_KEYS) - set(obj)
         if missing:
             raise DataFormatError(f"{path} line {lineno}: missing keys {sorted(missing)}")
+        view, session = obj["view"], obj.get("session", 1)
         for name, rule, ok in (  # nothing is coerced, and bools are not numbers
             ("key", "a string", isinstance(obj["key"], str)),
             ("subject_id", "a string", isinstance(obj["subject_id"], str)),
             ("condition", "a string", isinstance(obj["condition"], str)),
-            ("view", "an integer", type(obj["view"]) is int),
-            ("session", "an integer", type(obj.get("session", 1)) is int),
+            ("view", "an integer in int64 range",
+             type(view) is int and _INT64.min <= view <= _INT64.max),
+            ("session", "an integer in int64 range",
+             type(session) is int and _INT64.min <= session <= _INT64.max),
             ("frame_width", "a number", type(obj["frame_width"]) in (int, float)),
         ):
             if not ok:
@@ -149,8 +159,8 @@ def read_records(path) -> list[SequenceRecord]:
                     key=obj["key"],
                     subject_id=obj["subject_id"],
                     condition=obj["condition"],
-                    view=obj["view"],
-                    session=obj.get("session", 1),
+                    view=view,
+                    session=session,
                     frame_width=float(obj["frame_width"]),
                     frames=obj["frames"],
                 )
@@ -196,15 +206,6 @@ class Manifest:
                 seen[k] = split
 
 
-@dataclass
-class DatasetSplits:
-    """Loaded train/gallery/probe sequences of one dataset."""
-
-    train: list[GaitSequence] = field(default_factory=list)
-    gallery: list[GaitSequence] = field(default_factory=list)
-    probe: list[GaitSequence] = field(default_factory=list)
-
-
 def write_manifest(manifest: Manifest, path) -> Path:
     path = Path(path)
     obj = {
@@ -223,10 +224,7 @@ def write_manifest(manifest: Manifest, path) -> Path:
 
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    try:
-        obj = json.loads(_utf8_text(path, DataFormatError))
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    obj = _json_value(_utf8_text(path, DataFormatError), DataFormatError, str(path))
     if not isinstance(obj, dict):
         raise DataFormatError(f"{path}: manifest is not a JSON object")
     files, splits = obj.get("files"), obj.get("splits")
@@ -254,12 +252,14 @@ def load_manifest(path) -> Manifest:
     return manifest
 
 
-def load_split_sequences(manifest_path) -> DatasetSplits:
-    """Load every split's sequences, checking keys against the manifest."""
+def load_split_sequences(manifest_path) -> dict[str, list[GaitSequence]]:
+    """Load the "train", "gallery" and "probe" sequences, checking keys
+    against the manifest; the dict has the form `generate_split_sequences`
+    returns, and a split the manifest lacks maps to []."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    splits = DatasetSplits()
-    for split in ("train", "gallery", "probe"):
+    splits: dict[str, list[GaitSequence]] = {"train": [], "gallery": [], "probe": []}
+    for split in splits:
         if split not in manifest.files:
             continue
         seqs = read_sequences(manifest_path.parent / manifest.files[split])
@@ -270,7 +270,7 @@ def load_split_sequences(manifest_path) -> DatasetSplits:
                 f"{manifest_path}: split {split!r} keys disagree with the record file "
                 f"(missing {sorted(expected - actual)[:3]}, extra {sorted(actual - expected)[:3]})"
             )
-        setattr(splits, split, seqs)
+        splits[split] = seqs
     return splits
 
 
@@ -309,10 +309,7 @@ def load_checkpoint(path) -> GaitPTModel:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"{path}: unreadable checkpoint header") from e
+    header = _json_value(header_line, DataFormatError, f"{path}: unreadable checkpoint header")
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     version = header.get("format_version")
@@ -416,8 +413,4 @@ def config_from_dict(obj: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        obj = json.loads(_utf8_text(path, ConfigError))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    return config_from_dict(obj)
+    return config_from_dict(_json_value(_utf8_text(path, ConfigError), ConfigError, str(path)))

@@ -18,8 +18,8 @@ import numpy as np
 import scipy.special
 
 from .errors import ConfigError, InputError, ProtocolError, ShapeError, StatisticsError
-from .model import GaitPTConfig, GaitPTModel, with_stages
-from .skeleton import Condition, GaitSequence, PartitionScheme, sequence_key
+from .model import GaitPTConfig, GaitPTModel
+from .skeleton import Condition, GaitSequence, PartitionScheme
 from .training import TrainConfig, pairwise_distances, train
 
 CASIA_VIEWS = tuple(range(0, 181, 18))  # 0, 18, ..., 180
@@ -79,9 +79,7 @@ def embed_sequence_set(model: GaitPTModel, seqs: Sequence[GaitSequence]) -> Embe
     emb = model.embed_arrays(windows)
     keys, seen = [], set()
     for i, s in enumerate(seqs):
-        key = s.key or sequence_key(s.subject_id, s.condition, s.view, s.session)
-        if key in seen:
-            key = f"{key}#{i}"
+        key = s.key if s.key not in seen else f"{s.key}#{i}"
         seen.add(key)
         keys.append(key)
     return EmbeddingSet(
@@ -195,15 +193,14 @@ def casia_eval(embeddings: EmbeddingSet) -> EvalReport:
         raise ProtocolError("protocol data gaps: " + "; ".join(gaps))
 
     nv = len(CASIA_VIEWS)
+    galleries = [embeddings.select(gallery_mask & (embeddings.views == gv)) for gv in CASIA_VIEWS]
     matrix = {c: np.full((nv, nv), np.nan) for c in scored}
     for c in scored:
         for i, pv in enumerate(CASIA_VIEWS):
             probe = embeddings.select(probe_masks[c] & (embeddings.views == pv))
-            for j, gv in enumerate(CASIA_VIEWS):
-                if gv == pv:
-                    continue
-                gallery = embeddings.select(gallery_mask & (embeddings.views == gv))
-                matrix[c][i, j] = rank_k_accuracy(gallery, probe, [1])[1]
+            for j, gallery in enumerate(galleries):
+                if j != i:
+                    matrix[c][i, j] = rank_k_accuracy(gallery, probe, [1])[1]
 
     probe_view_means = {c: np.nanmean(matrix[c], axis=1) for c in scored}
     condition_means = {c: float(np.mean(probe_view_means[c])) for c in scored}
@@ -325,9 +322,11 @@ def config_study(
     """Train `runs` models per config variant and score rank-1 retrieval.
 
     Run seeds are shared across variants so comparisons pair up. `dataset`
-    must expose train/gallery/probe sequence lists. Variant pairs whose
-    accuracy samples are both constant get the limiting p-value (1 if the
-    means coincide, else 0) instead of a degenerate-variance error.
+    maps "train", "gallery" and "probe" to sequence lists, as
+    `generate_split_sequences` and `load_split_sequences` return them.
+    Variant pairs whose accuracy samples are both constant get the limiting
+    p-value (1 if the means coincide, else 0) instead of a
+    degenerate-variance error.
     """
     if not variants:
         raise ConfigError("no variants given")
@@ -342,9 +341,9 @@ def config_study(
         for r, rs in enumerate(run_seeds):
             model = GaitPTModel(cfg, seed=rs)
             tcfg = _dc_replace(train_config, seed=rs ^ 0x5EED)
-            train(model, dataset.train, tcfg, log_stream=StringIO())
-            gallery = embed_sequence_set(model, dataset.gallery)
-            probe = embed_sequence_set(model, dataset.probe)
+            train(model, dataset["train"], tcfg, log_stream=StringIO())
+            gallery = embed_sequence_set(model, dataset["gallery"])
+            probe = embed_sequence_set(model, dataset["probe"])
             accs[vi, r] = rank_k_accuracy(gallery, probe, [1])[1]
 
     p_values: dict[tuple[int, int], float] = {}
@@ -367,7 +366,7 @@ def ablation_run(
     train_config: TrainConfig,
 ) -> StudyResult:
     """Stage-activation ablation: one variant per stage subset."""
-    configs = [with_stages(model_config, s) for s in stage_subsets]
+    configs = [_dc_replace(model_config, active_stages=s) for s in stage_subsets]
     variants = [("stages " + "+".join(map(str, c.active_stages)), c) for c in configs]
     return config_study(dataset, variants, runs, seed, train_config)
 

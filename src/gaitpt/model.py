@@ -17,7 +17,7 @@ so the token path still reaches the body level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -122,15 +122,6 @@ class GaitPTConfig:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update({k: list(out[k]) for k in ("dims", "blocks", "heads", "active_stages")})
         return {**out, "scheme": self.scheme.value}
-
-
-def with_stages(config: GaitPTConfig, active: Iterable[int]) -> GaitPTConfig:
-    """Config with only `active` stages keeping their encoders.
-
-    Merges still chain between deactivated stages, so token granularity and
-    width advance exactly as in the full model.
-    """
-    return replace(config, active_stages=active)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +415,8 @@ class GaitPTModel:
         embedding is bitwise the same whatever else it is embedded with.
         """
         n = windows.shape[0]
+        if n == 0:
+            raise InputError(f"no windows to embed: input has shape {windows.shape}")
         padded = np.pad(windows, [(0, -n % EMBED_CHUNK)] + [(0, 0)] * (windows.ndim - 1), mode="edge")
         outs = [self.embed_batch(padded[start : start + EMBED_CHUNK]).data
                 for start in range(0, padded.shape[0], EMBED_CHUNK)]

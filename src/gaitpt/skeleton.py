@@ -76,8 +76,9 @@ _SCHEME_GROUPS[PartitionScheme.ALL] = _SCHEME_GROUPS[PartitionScheme.HUL] + tupl
 class GaitSequence:
     """A labeled time series of poses: frames has shape (n, 18, 2).
 
-    `key` carries the on-disk record id when the sequence was loaded from a
-    file; otherwise `sequence_key` builds one from the labels.
+    `key` is fixed when the sequence is built: the on-disk record id when it
+    was loaded from a file, otherwise `sequence_key` of its labels. Copies
+    made with `replace` keep the key unless they pass a new one.
     """
 
     subject_id: str
@@ -95,13 +96,16 @@ class GaitSequence:
             )
         object.__setattr__(self, "frames", arr)
         object.__setattr__(self, "condition", Condition(self.condition))
+        if self.key is None:
+            key = sequence_key(self.subject_id, self.condition, self.view, self.session)
+            object.__setattr__(self, "key", key)
 
     def __len__(self) -> int:
         return self.frames.shape[0]
 
 
 def sequence_key(subject_id: str, condition: Condition, view: int, session: int) -> str:
-    """Default id of a sequence that carries no key of its own."""
+    """Default id of a sequence built without a key of its own."""
     return f"{subject_id}-{condition.value}-v{view:03d}-{session:02d}"
 
 

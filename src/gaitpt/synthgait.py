@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dataio
 from .errors import ConfigError, InputError, config_int, config_rule
-from .skeleton import Condition, GaitSequence, duplicate_nose, sequence_key
+from .skeleton import Condition, GaitSequence, duplicate_nose
 
 SHIN_FOLLOW = 0.85     # shin angle as a fraction of the thigh angle
 WRIST_FOLLOW = 1.12    # wrist angle as a fraction of the upper-arm angle
@@ -268,10 +268,8 @@ def generate_split_sequences(cfg: SynthConfig) -> dict[str, list[GaitSequence]]:
             for condition in cfg.conditions:
                 for session in range(1, cfg.sequences_per_identity + 1):
                     rng = np.random.default_rng(next(child))
-                    seq = generate_sequence(
-                        ident, view, condition, cfg.frames, rng, subject_id=subject,
-                        session=session, key=sequence_key(subject, condition, view, session),
-                    )
+                    seq = generate_sequence(ident, view, condition, cfg.frames, rng,
+                                            subject_id=subject, session=session)
                     if session <= n_train:
                         splits["train"].append(seq)
                     elif condition is Condition.NM and not gallery_taken:

@@ -29,7 +29,6 @@ from gaitpt.model import GaitPTConfig, GaitPTModel
 from gaitpt.skeleton import Condition
 from gaitpt.synthgait import SynthConfig, generate_split_sequences
 from gaitpt.training import TrainConfig, batch_hard_mine, cyclic_lr, train, triplet_loss
-from gaitpt.dataio import DatasetSplits
 
 
 @contextmanager
@@ -284,11 +283,11 @@ ABLATION_DATASET = SynthConfig(
 def _ablation_splits():
     raw = generate_split_sequences(ABLATION_DATASET)
     # cross-view retrieval: enroll the frontal view, probe the side view
-    return DatasetSplits(
-        train=raw["train"],
-        gallery=[s for s in raw["gallery"] if s.view == 0],
-        probe=[s for s in raw["probe"] if s.view == 90],
-    )
+    return {
+        "train": raw["train"],
+        "gallery": [s for s in raw["gallery"] if s.view == 0],
+        "probe": [s for s in raw["probe"] if s.view == 90],
+    }
 
 
 def test_criterion_6_stage_ablation_ordering():

@@ -43,7 +43,7 @@ def workdir(tmp_path_factory):
 
 def test_synth_produces_loadable_manifest(workdir):
     splits = dataio.load_split_sequences(workdir / "ds" / "manifest.json")
-    assert splits.train and splits.gallery and splits.probe
+    assert splits["train"] and splits["gallery"] and splits["probe"]
 
 
 def test_synth_is_reproducible(tmp_path, capsys):

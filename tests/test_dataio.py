@@ -2,6 +2,7 @@
 validation, bit-exact checkpoints with integrity checks, and run configs."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from gaitpt import dataio
 from gaitpt.cli import main
 from gaitpt.errors import ConfigError, DataFormatError, IntegrityError
 from gaitpt.evaluation import EmbeddingSet
-from gaitpt.model import GaitPTConfig, GaitPTModel, with_stages
-from gaitpt.skeleton import Condition, PartitionScheme
+from gaitpt.model import GaitPTConfig, GaitPTModel
+from gaitpt.skeleton import Condition, PartitionScheme, sequence_key
 from gaitpt.training import TrainConfig
 
 
@@ -109,6 +110,9 @@ def test_read_records_reports_non_utf8_byte_offset(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("view", 90.7), ("view", 90.0), ("view", "90"), ("view", True),
     ("session", True), ("session", 1.5), ("session", "1"), ("session", None),
+    # integers outside int64, which EmbeddingSet would wrap or fail to hold
+    ("view", 2**63), ("view", -(2**63) - 1), ("view", 10**30),
+    ("session", 2**63), ("session", -(2**63) - 1), ("session", 10**30),
 ])
 def test_non_integer_view_or_session_is_rejected_by_line(tmp_path, field, value):
     path = tmp_path / "bad.jsonl"
@@ -128,6 +132,32 @@ def test_mistyped_label_or_frame_width_is_rejected_by_line(tmp_path, field, valu
     path.write_text(_record_line() + _record_line(**{"key": "y", field: value}))
     with pytest.raises(DataFormatError, match=f"line 2: {field} must be {rule}"):
         dataio.read_records(path)
+
+
+def test_view_and_session_at_the_int64_bounds_load(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text(_record_line(view=2**63 - 1, session=-(2**63)))
+    rec = dataio.read_records(path)[0]
+    assert (rec.view, rec.session) == (2**63 - 1, -(2**63))
+
+
+@pytest.mark.parametrize("field, value", [("view", 2**63), ("session", 10**30)])
+def test_embed_exits_3_on_a_view_or_session_outside_int64(tmp_path, capsys, field, value):
+    path, ckpt = tmp_path / "bad.jsonl", tmp_path / "m.ckpt"
+    path.write_text(_record_line(**{field: value}))
+    dataio.save_checkpoint(GaitPTModel(tiny_config(sequence_length=2), seed=0), ckpt)
+    assert main(["embed", "--data", str(path), "--ckpt", str(ckpt),
+                 "--out", str(tmp_path / "e.jsonl")]) == 3
+    assert f"line 1: {field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "e.jsonl").exists()
+
+
+def test_loaded_record_keeps_its_own_key(tmp_path):
+    path = tmp_path / "r.jsonl"
+    dataio.write_records([make_record("custom-key")], path)
+    seq = dataio.read_sequences(path)[0]
+    assert seq.key == "custom-key" != sequence_key(seq.subject_id, seq.condition, seq.view, seq.session)
+    assert dataio.sequence_to_record(seq).key == "custom-key"
 
 
 def test_integer_frame_width_loads_as_float(tmp_path):
@@ -184,6 +214,19 @@ def test_manifest_missing_file_is_reported(tmp_path):
     }))
     with pytest.raises(DataFormatError, match="absent.jsonl"):
         dataio.load_manifest(path)
+
+
+def test_split_missing_from_the_manifest_loads_empty(tmp_path):
+    dataio.write_records([make_record("k1")], tmp_path / "gallery.jsonl")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "dataset_name": "d", "seed": 0,
+        "files": {"gallery": "gallery.jsonl"}, "splits": {"gallery": ["k1"]},
+    }))
+    splits = dataio.load_split_sequences(path)
+    assert list(splits) == ["train", "gallery", "probe"]
+    assert splits["train"] == splits["probe"] == []
+    assert [s.key for s in splits["gallery"]] == ["k1"]
 
 
 def test_split_key_mismatch_is_detected(tmp_path):
@@ -345,7 +388,7 @@ def _buildable_configs():
     base = dict(dims=(4, 8, 8, 16), blocks=1, heads=2, sequence_length=3, output_dim=4)
     full = GaitPTConfig.build(**base)
     for mask in range(1, 16):
-        yield with_stages(full, [i for i in (1, 2, 3, 4) if mask >> (i - 1) & 1])
+        yield replace(full, active_stages=[i for i in (1, 2, 3, 4) if mask >> (i - 1) & 1])
     for scheme in PartitionScheme:
         yield GaitPTConfig.build(**base, scheme=scheme, active_stages=(2, 3))
     yield GaitPTConfig.build(dims=(4, 8, 8, 16), blocks=(1, 2, 1, 2), heads=(1, 2, 4, 8),
@@ -503,3 +546,52 @@ def test_config_roundtrips_through_dict():
     )
     again = dataio.config_from_dict(run.to_dict())
     assert again == run
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding
+# ---------------------------------------------------------------------------
+
+HUGE_INT = "1" + "0" * 4999  # more digits than Python turns into an int by default
+
+
+def _huge_int_cases(tmp_path):
+    """For each JSON reader: a file holding a 5,000-digit integer, the
+    reader, and the `gaitpt` arguments that read the file."""
+    ckpt, records = tmp_path / "m.ckpt", tmp_path / "r.jsonl"
+    dataio.save_checkpoint(GaitPTModel(tiny_config(sequence_length=2), seed=0), ckpt)
+    records.write_text(_record_line())
+    bad_records = tmp_path / "bad.jsonl"
+    bad_records.write_text(_record_line() + _record_line(key="y").replace('"view": 90', f'"view": {HUGE_INT}'))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"dataset_name": "d", "seed": %s, "files": {}, "splits": {}}' % HUGE_INT)
+    config = tmp_path / "cfg.json"
+    config.write_text('{"train": {"seed": %s}}' % HUGE_INT)
+    bad_ckpt = tmp_path / "bad.ckpt"
+    header, _, payload = ckpt.read_bytes().partition(b"\n")
+    bad_ckpt.write_bytes(header[:-1] + b', "note": ' + HUGE_INT.encode() + b"}\n" + payload)
+    out = ["--out", str(tmp_path / "out")]
+    return {
+        "records": (bad_records, dataio.read_records,
+                    ["embed", "--data", str(bad_records), "--ckpt", str(ckpt), *out]),
+        "manifest": (manifest, dataio.load_manifest, ["train", "--data", str(manifest), *out]),
+        "config": (config, dataio.load_config,
+                   ["train", "--data", str(manifest), "--config", str(config), *out]),
+        "checkpoint": (bad_ckpt, dataio.load_checkpoint,
+                       ["embed", "--data", str(records), "--ckpt", str(bad_ckpt), *out]),
+    }
+
+
+@pytest.mark.parametrize("reader, error, code", [
+    ("records", DataFormatError, 3), ("manifest", DataFormatError, 3),
+    ("config", ConfigError, 2), ("checkpoint", DataFormatError, 3),
+])
+def test_integer_past_the_digit_limit_names_the_file(tmp_path, capsys, reader, error, code):
+    path, load, argv = _huge_int_cases(tmp_path)[reader]
+    with pytest.raises(error, match="invalid JSON") as err:
+        load(path)
+    assert str(path) in str(err.value)
+    if reader == "records":
+        assert "line 2" in str(err.value)
+    assert main(argv) == code
+    assert str(path) in capsys.readouterr().err

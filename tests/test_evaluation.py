@@ -7,7 +7,6 @@ import scipy.stats
 
 from conftest import fast_train_config, random_windows, tiny_config, tiny_splits
 
-from gaitpt.dataio import DatasetSplits
 from gaitpt.errors import ConfigError, InputError, ProtocolError, StatisticsError
 from gaitpt.evaluation import (
     CASIA_VIEWS,
@@ -184,6 +183,14 @@ def test_casia_all_correct_gives_ones():
         assert report.condition_means[cond] == 1.0
 
 
+def test_casia_selects_each_view_gallery_once(monkeypatch):
+    calls = []
+    select = EmbeddingSet.select
+    monkeypatch.setattr(EmbeddingSet, "select", lambda self, mask: calls.append(1) or select(self, mask))
+    casia_eval(casia_fixture(SUBJECTS4))
+    assert len(calls) == 11 + 3 * 11  # a gallery per view, a probe set per condition and view
+
+
 def test_casia_probe_view_mean_averages_ten_cells():
     report = casia_eval(casia_fixture(SUBJECTS4))
     m = report.matrix["NM"]
@@ -355,9 +362,8 @@ def test_pearson_zero_variance_rejected():
 # ---------------------------------------------------------------------------
 
 def small_dataset(seed=31):
-    splits = tiny_splits(identities=4, sequences_per_identity=4, frames=30,
-                         views=(90,), seed=seed)
-    return DatasetSplits(train=splits["train"], gallery=splits["gallery"], probe=splits["probe"])
+    return tiny_splits(identities=4, sequences_per_identity=4, frames=30,
+                       views=(90,), seed=seed)
 
 
 def test_ablation_smoke_and_determinism():

@@ -2,6 +2,7 @@
 equivariances, ablation semantics, parameter counts, and gradient fidelity."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from gaitpt.model import (
     GaitPTConfig,
     GaitPTModel,
     joint_merge,
-    with_stages,
 )
 from gaitpt.numcore import Tensor
 from gaitpt.skeleton import PartitionScheme
@@ -223,11 +223,11 @@ def test_hul_stage2_merge_gives_three_double_width_tokens():
 
 def test_with_stages_full_set_is_identity():
     cfg = tiny_config()
-    assert with_stages(cfg, (1, 2, 3, 4)) == cfg
+    assert replace(cfg, active_stages=(1, 2, 3, 4)) == cfg
 
 
 def test_with_stages_stage4_only():
-    model = GaitPTModel(with_stages(tiny_config(), {4}), seed=0)
+    model = GaitPTModel(replace(tiny_config(), active_stages={4}), seed=0)
     trace = []
     model.embed_batch(random_windows(1, 20, dtype=np.float32), trace=trace)
     assert [(t, c) for _, t, c in trace] == [(18, 8), (5, 16), (3, 32), (1, 64)]
@@ -236,7 +236,7 @@ def test_with_stages_stage4_only():
 
 
 def test_with_stages_one_and_four():
-    model = GaitPTModel(with_stages(tiny_config(), {1, 4}), seed=0)
+    model = GaitPTModel(replace(tiny_config(), active_stages={1, 4}), seed=0)
     assert model.class_layout == [(1, "spatial", 8), (1, "temporal", 8), (4, "temporal", 64)]
     # merge projections persist for the skipped stages
     assert any(name.startswith("merge2.") for name in model.params)
@@ -246,9 +246,9 @@ def test_with_stages_one_and_four():
 
 def test_with_stages_rejects_empty_or_unknown():
     with pytest.raises(ConfigError):
-        with_stages(tiny_config(), ())
+        replace(tiny_config(), active_stages=())
     with pytest.raises(ConfigError):
-        with_stages(tiny_config(), {0, 1})
+        replace(tiny_config(), active_stages={0, 1})
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_config_normalises_its_fields_and_derives_stages():
     assert cfg.active_stages == (1, 4) and cfg.scheme is PartitionScheme.HLR
     assert [(s.index, s.dim, s.blocks, s.heads, s.active) for s in cfg.stages] == [
         (1, 8, 1, 2, True), (2, 16, 1, 2, False), (3, 32, 1, 4, False), (4, 64, 1, 4, True)]
-    assert with_stages(cfg, [1, 4]) == cfg
+    assert replace(cfg, active_stages=[1, 4]) == cfg
     assert GaitPTConfig(**cfg.to_dict()) == cfg
     with pytest.raises(TypeError):
         GaitPTConfig(stages=cfg.stages)
@@ -350,6 +350,11 @@ def test_embed_arrays_is_batch_invariant(dtype):
         for start in (0, 29, 61):
             idx = np.take(order, range(start, start + n), mode="wrap")
             assert np.array_equal(model.embed_arrays(windows[idx]), full[idx]), (n, start)
+
+
+def test_embed_arrays_rejects_zero_windows():
+    with pytest.raises(InputError, match=r"\(0, 20, 18, 2\)"):
+        tiny_model().embed_arrays(np.zeros((0, 20, 18, 2), dtype=np.float32))
 
 
 def test_config_validation():

@@ -1,5 +1,7 @@
 """Limb groups, partition schemes, merge plans, and preprocessing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gaitpt.skeleton import (
     merge_plan,
     normalize_sequence,
     sample_window,
+    sequence_key,
     token_counts,
 )
 
@@ -166,6 +169,15 @@ def test_duplicate_nose_preserves_original_joints():
     assert frames.shape == (4, 18, 2)
     assert np.array_equal(frames[:, :17], raw)
     assert np.array_equal(frames[:, 17], raw[:, 0])
+
+
+def test_key_is_fixed_when_the_sequence_is_built():
+    frames = np.zeros((2, 18, 2))
+    seq = GaitSequence("s7", "BG", 36, 2, frames)
+    assert seq.key == sequence_key("s7", Condition.BG, 36, 2) == "s7-BG-v036-02"
+    assert normalize_sequence(seq, 2.0).key == seq.key
+    assert replace(seq, view=54).key == seq.key
+    assert GaitSequence("s7", "BG", 36, 2, frames, key="rec-1").key == "rec-1"
 
 
 def test_pose_and_sequence_validation():

@@ -206,9 +206,18 @@ def test_build_dataset_writes_manifest_and_files(tmp_path):
     manifest = dataio.load_manifest(manifest_path)
     splits = dataio.load_split_sequences(manifest_path)
     assert sum(len(v) for v in manifest.splits.values()) == 4 * 4 * 2
-    assert len(splits.train) == len(manifest.splits["train"])
-    for s in splits.train + splits.gallery + splits.probe:
+    assert len(splits["train"]) == len(manifest.splits["train"])
+    for s in splits["train"] + splits["gallery"] + splits["probe"]:
         assert np.array_equal(s.frames[:, 17], s.frames[:, 0])
+
+
+def test_loaded_splits_have_the_generated_form_and_keys(tmp_path):
+    cfg = SynthConfig(identities=3, sequences_per_identity=4, frames=8, views=(0, 90), seed=24)
+    generated = generate_split_sequences(cfg)
+    loaded = dataio.load_split_sequences(build_dataset(cfg, tmp_path))
+    assert list(loaded) == list(generated) == ["train", "gallery", "probe"]
+    for name, seqs in generated.items():
+        assert [s.key for s in loaded[name]] == [s.key for s in seqs]
 
 
 def test_build_dataset_regeneration_is_byte_identical(tmp_path):
