@@ -19,14 +19,13 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, IntegrityError
 from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
-from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
+from .skeleton import INT64, RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
 from .training import TrainConfig
 
 CHECKPOINT_VERSION = 2
 
 _RECORD_KEYS = ("key", "subject_id", "condition", "view", "session", "frame_width", "frames")
 _OPTIONAL_RECORD_KEYS = ("session",)
-_INT64 = np.iinfo(np.int64)  # the range of a record's view and session
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,9 @@ def read_records(path) -> list[SequenceRecord]:
             ("subject_id", "a string", isinstance(obj["subject_id"], str)),
             ("condition", "a string", isinstance(obj["condition"], str)),
             ("view", "an integer in int64 range",
-             type(view) is int and _INT64.min <= view <= _INT64.max),
+             type(view) is int and INT64.min <= view <= INT64.max),
             ("session", "an integer in int64 range",
-             type(session) is int and _INT64.min <= session <= _INT64.max),
+             type(session) is int and INT64.min <= session <= INT64.max),
             ("frame_width", "a number", type(obj["frame_width"]) in (int, float)),
         ):
             if not ok:
@@ -167,6 +166,9 @@ def read_records(path) -> list[SequenceRecord]:
             )
         except (DataFormatError, ValueError, TypeError, OverflowError) as e:
             raise DataFormatError(f"{path} line {lineno}: {e}") from e
+        # the record's (n, 17, 2) shape holds, so `frames` nests lists three deep
+        if any(type(v) not in (int, float) for frame in obj["frames"] for joint in frame for v in joint):
+            raise DataFormatError(f"{path} line {lineno}: frames must hold only JSON numbers")
     return records
 
 

@@ -30,7 +30,7 @@ from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 DEFAULT_DIMS = (32, 64, 128, 256)
 INPUT_CHANNELS = 2
 FFN_MULTIPLIER = 4  # feed-forward hidden width per model width
-EMBED_CHUNK = 8     # windows per `embed_arrays` batch: cache-sized, and fixed so GEMM shapes never vary
+EMBED_CHUNK = 8     # windows per `embed_arrays` batch, and the row multiple of the head's GEMM
 
 
 @dataclass(frozen=True)
@@ -310,14 +310,6 @@ class GaitPTModel:
             x = nc.add(x, h)
         return x
 
-    def _batched(self, x) -> tuple[Tensor, bool]:
-        """`x` as a tensor of the model dtype; 3-d input gets a batch axis,
-        and the flag says so."""
-        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.config.np_dtype))
-        if t.ndim == 3:
-            return nc.reshape(t, (1,) + t.shape), True
-        return t, False
-
     def spatial_attention_stage(self, feat, stage_index: int, params=None):
         """Attention across the tokens of each frame independently.
 
@@ -344,11 +336,10 @@ class GaitPTModel:
         stage = self.config.stages[stage_index - 1]
         if kind not in stage.encoders:
             raise ConfigError(f"stage {stage_index} has no active {kind} encoder")
-        x, squeeze = self._batched(feat)
+        x = feat if isinstance(feat, Tensor) else Tensor(np.asarray(feat, dtype=self.config.np_dtype))
         if x.ndim != 4:
-            raise ShapeError(f"expected (frames, tokens, C) or batched, got {x.shape}")
+            raise ShapeError(f"expected (batch, frames, tokens, C), got {x.shape}")
         p = params or self.parameter_values()
-        n, t = x.shape[1:3]
         if kind == "temporal":
             x = nc.transpose(x, (0, 2, 1, 3))
         b, rows, length, c = x.shape
@@ -359,8 +350,6 @@ class GaitPTModel:
         toks = nc.reshape(flat[:, 1:, :], (b, rows, length, c))
         if kind == "temporal":
             toks = nc.transpose(toks, (0, 2, 1, 3))
-        if squeeze:
-            return nc.reshape(toks, (n, t, c)), nc.reshape(cls, (c,))
         return toks, cls
 
     def _merge(self, feat: Tensor, transition: int, p: dict[str, Tensor]) -> Tensor:
@@ -379,10 +368,12 @@ class GaitPTModel:
 
         `params` substitutes parameter tensors by name (used for functional
         gradient checks); `trace`, when given, collects (stage, tokens, width)
-        after each stage's merge.
+        after each stage's merge. The head, the only matrix product with one
+        row per window, runs on a multiple of `EMBED_CHUNK` rows (the last row
+        repeated, then dropped), so no window's embedding depends on B.
         """
         cfg = self.config
-        t, _ = self._batched(x)
+        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=cfg.np_dtype))
         if t.ndim != 4 or t.shape[2] != JOINTS or t.shape[3] != INPUT_CHANNELS:
             raise InputError(f"expected input of shape (B, n, {JOINTS}, {INPUT_CHANNELS}), got {t.shape}")
         if t.shape[1] != cfg.sequence_length:
@@ -404,20 +395,20 @@ class GaitPTModel:
                 class_outputs.append(cls)
 
         merged = nc.concat(class_outputs, axis=-1)
+        b, pad = merged.shape[0], -merged.shape[0] % EMBED_CHUNK
+        merged = nc.index_select(merged, 0, [*range(b)] + [b - 1] * pad) if pad else merged
         emb = nc.linear(merged, p["head.w"], p["head.b"])
-        return _l2_normalize(emb)
+        return _l2_normalize(emb[:b] if pad else emb)
 
     def embed_arrays(self, windows: np.ndarray) -> np.ndarray:
         """Inference-mode embeddings for stacked windows (N, n, 18, 2).
 
-        Runs chunks of exactly `EMBED_CHUNK` windows, padding the last with
-        copies of its last window and dropping those rows, so a window's
+        Runs `embed_batch` on chunks of `EMBED_CHUNK` windows, which bounds
+        the memory of one call; the last chunk holds what is left. A window's
         embedding is bitwise the same whatever else it is embedded with.
         """
         n = windows.shape[0]
         if n == 0:
             raise InputError(f"no windows to embed: input has shape {windows.shape}")
-        padded = np.pad(windows, [(0, -n % EMBED_CHUNK)] + [(0, 0)] * (windows.ndim - 1), mode="edge")
-        outs = [self.embed_batch(padded[start : start + EMBED_CHUNK]).data
-                for start in range(0, padded.shape[0], EMBED_CHUNK)]
-        return np.concatenate(outs, axis=0)[:n]
+        return np.concatenate([self.embed_batch(windows[s : s + EMBED_CHUNK]).data
+                               for s in range(0, n, EMBED_CHUNK)], axis=0)

@@ -9,6 +9,7 @@ head group and the four limbs tile all 18 joints.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -19,6 +20,7 @@ from .errors import ConfigError, DataFormatError, InputError
 JOINTS = 18
 RAW_JOINTS = 17
 NOSE = 0
+INT64 = np.iinfo(np.int64)  # the range of a sequence's view and session
 
 
 class Condition(str, Enum):
@@ -96,6 +98,15 @@ class GaitSequence:
             )
         object.__setattr__(self, "frames", arr)
         object.__setattr__(self, "condition", Condition(self.condition))
+        for name in ("view", "session"):  # bools are not integers
+            value = getattr(self, name)
+            try:
+                n = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                n = None
+            if n is None or not INT64.min <= n <= INT64.max:
+                raise InputError(f"{name} must be an integer in int64 range, got {value!r}")
+            object.__setattr__(self, name, int(n))
         if self.key is None:
             key = sequence_key(self.subject_id, self.condition, self.view, self.session)
             object.__setattr__(self, "key", key)

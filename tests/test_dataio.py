@@ -134,6 +134,28 @@ def test_mistyped_label_or_frame_width_is_rejected_by_line(tmp_path, field, valu
         dataio.read_records(path)
 
 
+def _strings(frames):
+    return [[[str(v) for v in joint] for joint in frame] for frame in frames]
+
+
+def _bools(frames):
+    return [[[v > 320 for v in joint] for joint in frame] for frame in frames]
+
+
+def _one_bool(frames):  # numpy reads [0.5, False] as float64 too
+    frames[1][3][0] = False
+    return frames
+
+
+@pytest.mark.parametrize("coerce", [_strings, _bools, _one_bool])
+def test_frame_coordinate_that_is_not_a_number_is_rejected_by_line(tmp_path, coerce):
+    frames = coerce(make_record("x").frames.tolist())
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_record_line() + _record_line(key="y", frames=frames))
+    with pytest.raises(DataFormatError, match="line 2: frames must hold only JSON numbers"):
+        dataio.read_records(path)
+
+
 def test_view_and_session_at_the_int64_bounds_load(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_text(_record_line(view=2**63 - 1, session=-(2**63)))

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_windows, tiny_config
 
 from gaitpt import numcore as nc
-from gaitpt.errors import ConfigError, InputError
+from gaitpt.errors import ConfigError, InputError, ShapeError
 from gaitpt.model import (
     GaitPTConfig,
     GaitPTModel,
@@ -93,15 +93,9 @@ def test_embedding_is_unit_norm_and_deterministic():
     assert np.array_equal(e1, e2)
 
 
-def test_forward_single_sequence_shape():
-    model = tiny_model()
-    emb = model.embed_batch(random_windows(1, 20)[0])
-    assert emb.shape == (1, 32)
-
-
 def test_forward_finite_on_all_zero_input():
     model = tiny_model()
-    emb = model.embed_batch(np.zeros((20, 18, 2)))
+    emb = model.embed_batch(np.zeros((1, 20, 18, 2)))
     assert np.isfinite(emb.data).all()
 
 
@@ -111,6 +105,15 @@ def test_forward_rejects_wrong_frame_count():
         model.embed_batch(random_windows(1, 21))
     with pytest.raises(InputError):
         model.embed_batch(np.zeros((1, 20, 17, 2)))
+
+
+def test_forward_and_stages_reject_a_window_without_batch_axis():
+    model = tiny_model()
+    with pytest.raises(InputError, match=r"got \(20, 18, 2\)"):
+        model.embed_batch(random_windows(1, 20)[0])
+    for stage in (model.spatial_attention_stage, model.temporal_attention_stage):
+        with pytest.raises(ShapeError, match=r"got \(20, 18, 8\)"):
+            stage(np.zeros((20, 18, 8), dtype=np.float32), 1)
 
 
 def test_all_scheme_only_changes_stage3_tokens():
@@ -126,6 +129,13 @@ def test_all_scheme_only_changes_stage3_tokens():
 # stage ops
 # ---------------------------------------------------------------------------
 
+def one_window(stage, feat, stage_index):
+    """`stage` run on `feat` (frames, tokens, C) as a batch of one; returns
+    that window's token outputs and class output."""
+    out, cls = stage(np.asarray(feat)[None], stage_index)
+    return out[0], cls[0]
+
+
 def test_spatial_stage_rejected_on_body_level():
     model = tiny_model()
     with pytest.raises(ConfigError):
@@ -136,9 +146,9 @@ def test_spatial_stage_is_frame_independent():
     model = tiny_model()
     rng = np.random.default_rng(3)
     feat = rng.normal(size=(4, 18, 8)).astype(np.float32)
-    out, cls = model.spatial_attention_stage(feat, 1)
+    out, cls = one_window(model.spatial_attention_stage, feat, 1)
     perm = np.array([2, 0, 3, 1])
-    out_p, cls_p = model.spatial_attention_stage(feat[perm], 1)
+    out_p, cls_p = one_window(model.spatial_attention_stage, feat[perm], 1)
     assert np.allclose(out_p.data, out.data[perm], atol=1e-6)
     assert np.allclose(cls_p.data, cls.data, atol=1e-6)
 
@@ -147,16 +157,16 @@ def test_spatial_stage_token_permutation_equivariance_without_pos():
     model = zero_positional(tiny_model(), "spatial")
     rng = np.random.default_rng(4)
     feat = rng.normal(size=(3, 18, 8)).astype(np.float64)
-    out, cls = model.spatial_attention_stage(feat, 1)
+    out, cls = one_window(model.spatial_attention_stage, feat, 1)
     perm = rng.permutation(18)
-    out_p, cls_p = model.spatial_attention_stage(feat[:, perm], 1)
+    out_p, cls_p = one_window(model.spatial_attention_stage, feat[:, perm], 1)
     assert np.allclose(out_p.data, out.data[:, perm], atol=1e-9)
     assert np.allclose(cls_p.data, cls.data, atol=1e-9)
 
 
 def test_temporal_stage_single_frame_is_finite():
     model = tiny_model()
-    out, cls = model.temporal_attention_stage(np.zeros((1, 18, 8), dtype=np.float32), 1)
+    out, cls = one_window(model.temporal_attention_stage, np.zeros((1, 18, 8), dtype=np.float32), 1)
     assert out.shape == (1, 18, 8) and np.isfinite(out.data).all()
     assert np.isfinite(cls.data).all()
 
@@ -165,9 +175,9 @@ def test_temporal_stage_token_stream_independence():
     model = tiny_model()
     rng = np.random.default_rng(5)
     feat = rng.normal(size=(6, 18, 8)).astype(np.float32)
-    out, cls = model.temporal_attention_stage(feat, 1)
+    out, cls = one_window(model.temporal_attention_stage, feat, 1)
     perm = rng.permutation(18)
-    out_p, cls_p = model.temporal_attention_stage(feat[:, perm], 1)
+    out_p, cls_p = one_window(model.temporal_attention_stage, feat[:, perm], 1)
     assert np.allclose(out_p.data, out.data[:, perm], atol=1e-5)
     assert np.allclose(cls_p.data, cls.data, atol=1e-5)
 
@@ -176,8 +186,8 @@ def test_temporal_stage_time_reversal_without_pos():
     model = zero_positional(tiny_model(), "temporal")
     rng = np.random.default_rng(6)
     feat = rng.normal(size=(7, 18, 8)).astype(np.float64)
-    out, cls = model.temporal_attention_stage(feat, 1)
-    out_r, cls_r = model.temporal_attention_stage(feat[::-1], 1)
+    out, cls = one_window(model.temporal_attention_stage, feat, 1)
+    out_r, cls_r = one_window(model.temporal_attention_stage, feat[::-1], 1)
     assert np.allclose(out_r.data, out.data[::-1], atol=1e-9)
     assert np.allclose(cls_r.data, cls.data, atol=1e-9)
 
@@ -350,6 +360,20 @@ def test_embed_arrays_is_batch_invariant(dtype):
         for start in (0, 29, 61):
             idx = np.take(order, range(start, start + n), mode="wrap")
             assert np.array_equal(model.embed_arrays(windows[idx]), full[idx]), (n, start)
+
+
+@pytest.mark.parametrize("n, batches", [(1, [1]), (9, [8, 1]), (17, [8, 8, 1])])
+def test_embed_arrays_runs_no_padded_window_through_the_pyramid(monkeypatch, n, batches):
+    model = tiny_model()
+    seen, embed_batch = [], model.embed_batch
+
+    def spy(x, *args, **kwargs):
+        seen.append(len(x))
+        return embed_batch(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "embed_batch", spy)
+    assert model.embed_arrays(random_windows(n, 20, dtype=np.float32)).shape == (n, 32)
+    assert seen == batches
 
 
 def test_embed_arrays_rejects_zero_windows():

@@ -180,6 +180,21 @@ def test_key_is_fixed_when_the_sequence_is_built():
     assert GaitSequence("s7", "BG", 36, 2, frames, key="rec-1").key == "rec-1"
 
 
+@pytest.mark.parametrize("field", ["view", "session"])
+@pytest.mark.parametrize("value", [90.5, "90", True, np.float64(1.0), 2**63, -(2**63) - 1])
+@pytest.mark.parametrize("key", [None, "rec-1"])
+def test_non_integer_view_or_session_is_rejected(field, value, key):
+    labels = {"view": 90, "session": 1, field: value}
+    with pytest.raises(InputError, match=f"{field} must be an integer in int64 range"):
+        GaitSequence("s", "NM", labels["view"], labels["session"], np.zeros((2, 18, 2)), key=key)
+
+
+def test_integer_view_and_session_are_stored_as_int():
+    seq = GaitSequence("s", "NM", np.int64(2**63 - 1), np.int16(-3), np.zeros((2, 18, 2)))
+    assert (seq.view, seq.session) == (2**63 - 1, -3)
+    assert type(seq.view) is int and type(seq.session) is int
+
+
 def test_pose_and_sequence_validation():
     with pytest.raises(DataFormatError):
         GaitSequence("s", Condition.NM, 0, 1, np.zeros((0, 18, 2)))
