@@ -7,7 +7,7 @@ Subpackage map:
     skeleton    sequence type, limb groups, partition schemes
     model       the pyramid network and its configuration
     training    triplet loss, batch-hard mining, AdamW, cyclic LR, train loop
-    evaluation  rank-K / cross-view protocols, Welch's t-test, Pearson r
+    evaluation  rank-K / cross-view protocols, Welch's t-test
     synthgait   parametric synthetic walker generator
     dataio      sequence records, manifests, checkpoints, run configs
     cli         command-line entry point

@@ -10,27 +10,31 @@ order, guarded by a length check and a CRC32.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, IntegrityError
+from .errors import INT64, ConfigError, DataFormatError, IntegrityError, checked_int
 from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
-from .skeleton import INT64, RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
+from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
 from .training import TrainConfig
 
 CHECKPOINT_VERSION = 2
 
 _RECORD_KEYS = ("key", "subject_id", "condition", "view", "session", "frame_width", "frames")
-_OPTIONAL_RECORD_KEYS = ("session",)
+_MANIFEST_KEYS = ("dataset_name", "seed", "files", "splits")
 
 
 @dataclass(frozen=True)
 class SequenceRecord:
-    """One stored walking sequence: raw 17-joint coordinates plus labels."""
+    """One stored walking sequence: raw 17-joint coordinates plus labels.
+    A bad field raises DataFormatError naming it, so any record that builds
+    is one `read_records` reads back; the fields are stored as annotated."""
 
     key: str
     subject_id: str
@@ -38,22 +42,41 @@ class SequenceRecord:
     view: int
     session: int
     frame_width: float
-    frames: np.ndarray  # (n, 17, 2), unnormalized
+    frames: np.ndarray  # (n, 17, 2) float64, unnormalized
 
     def __post_init__(self):
+        for name in ("key", "subject_id", "condition"):
+            if not isinstance(getattr(self, name), str):
+                raise DataFormatError(f"{name} must be a string, got {getattr(self, name)!r}")
         try:
-            arr = np.asarray(self.frames, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise DataFormatError(f"record {self.key!r}: frames are not numeric") from e
+            object.__setattr__(self, "condition", Condition(self.condition).value)
+        except ValueError:
+            names = ", ".join(c.value for c in Condition)
+            raise DataFormatError(f"condition must be one of {names}, got {self.condition!r}") from None
+        for name in ("view", "session"):
+            value = checked_int(name, getattr(self, name), *INT64, error=DataFormatError)
+            object.__setattr__(self, name, value)
+        width = self.frame_width
+        if isinstance(width, bool) or not isinstance(width, numbers.Real):
+            raise DataFormatError(f"frame_width must be a number, got {width!r}")
+        try:
+            finite = 0 < float(width) < math.inf  # false for NaN
+        except OverflowError:  # an int past float's range
+            finite = False
+        if not finite:
+            raise DataFormatError(f"frame_width must be finite and > 0, got {width!r}")
+        object.__setattr__(self, "frame_width", float(width))
+        try:
+            arr = np.asarray(self.frames)
+        except ValueError as e:  # ragged nesting
+            raise DataFormatError(f"frames need shape (n, 17, 2): {e}") from None
+        if arr.dtype.kind not in "iuf":
+            raise DataFormatError(f"frames must hold integers or floats, got dtype {arr.dtype}")
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1:] != (RAW_JOINTS, 2):
-            raise DataFormatError(
-                f"record {self.key!r}: frames need shape (n, 17, 2) with n >= 1, got {arr.shape}"
-            )
+            raise DataFormatError(f"frames need shape (n, 17, 2) with n >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
-            raise DataFormatError(f"record {self.key!r}: frames hold non-finite coordinates")
-        if not (np.isfinite(self.frame_width) and self.frame_width > 0):
-            raise DataFormatError(f"record {self.key!r}: frame_width must be finite and > 0")
-        object.__setattr__(self, "frames", arr)
+            raise DataFormatError("frames hold non-finite coordinates")
+        object.__setattr__(self, "frames", arr.astype(np.float64, copy=False))
 
 
 def sequence_to_record(seq: GaitSequence) -> SequenceRecord:
@@ -127,6 +150,15 @@ def _jsonl_objects(path: Path):
         yield lineno, obj
 
 
+def _json_numbers_only(frames) -> bool:
+    """False if a leaf three lists deep is not a JSON number (numpy reads a
+    `false` among floats as 0.0); other nestings fail the record's shape check."""
+    try:
+        return all(type(v) in (int, float) for frame in frames for joint in frame for v in joint)
+    except TypeError:
+        return True
+
+
 def read_records(path) -> list[SequenceRecord]:
     """Parse a JSONL record file; every problem is reported with its line
     (or byte offset, for non-text files)."""
@@ -136,51 +168,22 @@ def read_records(path) -> list[SequenceRecord]:
         unknown = set(obj) - set(_RECORD_KEYS)
         if unknown:
             raise DataFormatError(f"{path} line {lineno}: unknown keys {sorted(unknown)}")
-        missing = set(_RECORD_KEYS) - set(_OPTIONAL_RECORD_KEYS) - set(obj)
+        obj.setdefault("session", 1)
+        missing = set(_RECORD_KEYS) - set(obj)
         if missing:
             raise DataFormatError(f"{path} line {lineno}: missing keys {sorted(missing)}")
-        view, session = obj["view"], obj.get("session", 1)
-        for name, rule, ok in (  # nothing is coerced, and bools are not numbers
-            ("key", "a string", isinstance(obj["key"], str)),
-            ("subject_id", "a string", isinstance(obj["subject_id"], str)),
-            ("condition", "a string", isinstance(obj["condition"], str)),
-            ("view", "an integer in int64 range",
-             type(view) is int and INT64.min <= view <= INT64.max),
-            ("session", "an integer in int64 range",
-             type(session) is int and INT64.min <= session <= INT64.max),
-            ("frame_width", "a number", type(obj["frame_width"]) in (int, float)),
-        ):
-            if not ok:
-                raise DataFormatError(f"{path} line {lineno}: {name} must be {rule}, got {obj[name]!r}")
         try:
-            records.append(
-                SequenceRecord(
-                    key=obj["key"],
-                    subject_id=obj["subject_id"],
-                    condition=obj["condition"],
-                    view=view,
-                    session=session,
-                    frame_width=float(obj["frame_width"]),
-                    frames=obj["frames"],
-                )
-            )
-        except (DataFormatError, ValueError, TypeError, OverflowError) as e:
+            if not _json_numbers_only(obj["frames"]):
+                raise DataFormatError("frames must hold only JSON numbers")
+            records.append(SequenceRecord(**obj))
+        except DataFormatError as e:
             raise DataFormatError(f"{path} line {lineno}: {e}") from e
-        # the record's (n, 17, 2) shape holds, so `frames` nests lists three deep
-        if any(type(v) not in (int, float) for frame in obj["frames"] for joint in frame for v in joint):
-            raise DataFormatError(f"{path} line {lineno}: frames must hold only JSON numbers")
     return records
 
 
 def read_sequences(path) -> list[GaitSequence]:
     """Load validated, normalized 18-joint sequences (none from an empty file)."""
-    out = []
-    for rec in read_records(path):
-        try:
-            out.append(record_to_sequence(rec))
-        except (DataFormatError, ValueError) as e:
-            raise DataFormatError(f"{path}: record {rec.key!r}: {e}") from e
-    return out
+    return [record_to_sequence(rec) for rec in read_records(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,18 @@ class Manifest:
     generator: dict | None = None
 
     def __post_init__(self):
+        for name, rule, ok in (  # a bad field raises DataFormatError naming it
+            ("dataset_name", "a string", isinstance(self.dataset_name, str)),
+            ("files", "an object of file names",
+             isinstance(self.files, dict) and all(isinstance(f, str) for f in self.files.values())),
+            ("splits", "an object of key lists", isinstance(self.splits, dict) and all(
+                isinstance(keys, list) and all(isinstance(k, str) for k in keys)
+                for keys in self.splits.values())),
+        ):
+            if not ok:
+                raise DataFormatError(f"manifest field {name!r} must be {rule}")
+        seed = checked_int("manifest field 'seed'", self.seed, None, error=DataFormatError)
+        object.__setattr__(self, "seed", seed)
         seen: dict[str, str] = {}
         for split, keys in self.splits.items():
             for k in keys:
@@ -210,12 +225,7 @@ class Manifest:
 
 def write_manifest(manifest: Manifest, path) -> Path:
     path = Path(path)
-    obj = {
-        "dataset_name": manifest.dataset_name,
-        "seed": manifest.seed,
-        "files": manifest.files,
-        "splits": manifest.splits,
-    }
+    obj = {k: getattr(manifest, k) for k in _MANIFEST_KEYS}
     if manifest.generator is not None:
         obj["generator"] = manifest.generator
     with open(path, "w") as fh:
@@ -229,25 +239,13 @@ def load_manifest(path) -> Manifest:
     obj = _json_value(_utf8_text(path, DataFormatError), DataFormatError, str(path))
     if not isinstance(obj, dict):
         raise DataFormatError(f"{path}: manifest is not a JSON object")
-    files, splits = obj.get("files"), obj.get("splits")
-    for key, rule, ok in (
-        ("dataset_name", "a string", isinstance(obj.get("dataset_name"), str)),
-        ("seed", "an integer", type(obj.get("seed")) is int),
-        ("files", "an object of file names",
-         isinstance(files, dict) and all(isinstance(f, str) for f in files.values())),
-        ("splits", "an object of key lists", isinstance(splits, dict) and all(
-            isinstance(keys, list) and all(isinstance(k, str) for k in keys) for keys in splits.values())),
-    ):
-        if not ok:
-            problem = f"must be {rule}" if key in obj else "is missing"
-            raise DataFormatError(f"{path}: manifest field {key!r} {problem}")
-    manifest = Manifest(
-        dataset_name=obj["dataset_name"],
-        seed=obj["seed"],
-        files=files,
-        splits=splits,
-        generator=obj.get("generator"),
-    )
+    for key in _MANIFEST_KEYS:
+        if key not in obj:
+            raise DataFormatError(f"{path}: manifest field {key!r} is missing")
+    try:
+        manifest = Manifest(**{k: obj[k] for k in _MANIFEST_KEYS}, generator=obj.get("generator"))
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from e
     for split, fname in manifest.files.items():
         if not (path.parent / fname).exists():
             raise DataFormatError(f"{path}: split {split!r} references missing file {fname!r}")

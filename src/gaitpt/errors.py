@@ -16,16 +16,23 @@ class ConfigError(GaitError):
     """Invalid configuration or API usage (bad flags, bad hyperparameters)."""
 
 
-def config_int(name: str, value, minimum: int = 1) -> int:
-    """`value` as an int >= `minimum`. Only what `operator.index` accepts
-    (Python and numpy integers) is an integer; anything else raises a
-    ConfigError naming `name`."""
+INT64 = (-(2**63), 2**63 - 1)  # the range of a sequence's view and session
+
+
+def checked_int(name: str, value, minimum: int | None = 1, maximum: int | None = None,
+                error: type[GaitError] = ConfigError) -> int:
+    """`value` as an int in [`minimum`, `maximum`], None leaving that side
+    open. What `operator.index` accepts (Python and numpy integers) is an
+    integer, except a bool; anything else raises `error` naming `name`."""
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if n < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {n}")
+        n = None
+    if n is None or (minimum is not None and n < minimum) or (maximum is not None and n > maximum):
+        rule = (" in int64 range" if (minimum, maximum) == INT64
+                else f" in [{minimum}, {maximum}]" if maximum is not None
+                else f" >= {minimum}" if minimum is not None else "")
+        raise error(f"{name} must be an integer{rule}, got {value!r}")
     return n
 
 

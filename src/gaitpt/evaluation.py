@@ -1,5 +1,5 @@
-"""Gallery-probe retrieval metrics and protocols, plus the statistical
-tests used by the ablation and data-quality analyses.
+"""Gallery-probe retrieval metrics and protocols, plus the Welch t-test
+used by the stage-ablation and partition studies.
 
 Retrieval is nearest-neighbor by Euclidean distance over embedding vectors;
 distance ties break by ascending sequence key so reports are deterministic.
@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import ConfigError, InputError, ProtocolError, ShapeError, StatisticsError
+from .errors import ConfigError, InputError, ProtocolError, ShapeError, StatisticsError, checked_int
 from .model import GaitPTConfig, GaitPTModel
 from .skeleton import Condition, GaitSequence, PartitionScheme
 from .training import TrainConfig, pairwise_distances, train
@@ -99,9 +99,9 @@ def embed_sequence_set(model: GaitPTModel, seqs: Sequence[GaitSequence]) -> Embe
 def rank_k_accuracy(gallery: EmbeddingSet, probe: EmbeddingSet, ks: Iterable[int]) -> dict[int, float]:
     """Fraction of probes whose subject appears among the k nearest gallery
     rows, for each k; nearest by Euclidean distance, ties by ascending key."""
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise InputError(f"ranks must be >= 1, got {ks}")
+    ks = sorted({checked_int("ranks", k, error=InputError) for k in ks})
+    if not ks:
+        raise InputError("no ranks given")
     if len(gallery) == 0:
         raise ProtocolError("gallery is empty")
     d = pairwise_distances(probe.embeddings, gallery.embeddings)
@@ -255,20 +255,6 @@ def welch_t_test(xs, ys) -> WelchResult:
     return WelchResult(t=float(t), df=float(df), p=float(2.0 * scipy.special.stdtr(df, -abs(t))))
 
 
-def pearson_r(xs, ys) -> float:
-    """Product-moment correlation of two equal-length samples."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.size != y.size or x.size < 2:
-        raise StatisticsError(f"need two equal-length samples of >= 2 points, got {x.size} and {y.size}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0.0:
-        raise StatisticsError("a zero-variance sample has no correlation")
-    return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # stage-ablation harness
 # ---------------------------------------------------------------------------
@@ -330,8 +316,7 @@ def config_study(
     """
     if not variants:
         raise ConfigError("no variants given")
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
+    runs = checked_int("runs", runs)
     if runs < 2 and len(variants) > 1:
         raise ConfigError("pairwise t-tests need runs >= 2")
 

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, InputError, ShapeError, config_int
+from .errors import ConfigError, InputError, ShapeError, checked_int
 from .numcore import AttentionWeights, Parameter, Tensor
 from .skeleton import JOINTS, PartitionScheme, merge_plan, token_counts
 
@@ -57,9 +57,9 @@ def _four_ints(name: str, value, scalar_ok: bool) -> tuple[int, ...]:
     stands for all four."""
     if isinstance(value, (list, tuple, np.ndarray)):
         if len(value) == 4:
-            return tuple(config_int(f"{name}[{i}]", v) for i, v in enumerate(value))
+            return tuple(checked_int(f"{name}[{i}]", v) for i, v in enumerate(value))
     elif scalar_ok:
-        return (config_int(name, value),) * 4
+        return (checked_int(name, value),) * 4
     raise ConfigError(f"{name} takes {'one integer or ' if scalar_ok else ''}four integers, got {value!r}")
 
 
@@ -83,8 +83,8 @@ class GaitPTConfig:
             object.__setattr__(self, name, _four_ints(name, getattr(self, name), name != "dims"))
         if not isinstance(self.active_stages, Iterable):
             raise ConfigError(f"active_stages must be a list of stages, got {self.active_stages!r}")
-        active = sorted({config_int("active_stages", s) for s in self.active_stages})
-        if not active or active[-1] > 4:
+        active = sorted({checked_int("active_stages", s, 1, 4) for s in self.active_stages})
+        if not active:
             raise ConfigError(f"active_stages must be a nonempty subset of 1..4, got {active}")
         object.__setattr__(self, "active_stages", tuple(active))
         try:
@@ -92,7 +92,7 @@ class GaitPTConfig:
         except (TypeError, ValueError):
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
         for name in ("sequence_length", "output_dim"):
-            object.__setattr__(self, name, config_int(name, getattr(self, name)))
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         for s in self.stages:

@@ -9,18 +9,16 @@ head group and the four limbs tile all 18 joints.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, InputError
+from .errors import INT64, ConfigError, DataFormatError, InputError, checked_int
 
 JOINTS = 18
 RAW_JOINTS = 17
 NOSE = 0
-INT64 = np.iinfo(np.int64)  # the range of a sequence's view and session
 
 
 class Condition(str, Enum):
@@ -98,15 +96,8 @@ class GaitSequence:
             )
         object.__setattr__(self, "frames", arr)
         object.__setattr__(self, "condition", Condition(self.condition))
-        for name in ("view", "session"):  # bools are not integers
-            value = getattr(self, name)
-            try:
-                n = None if isinstance(value, bool) else operator.index(value)
-            except TypeError:
-                n = None
-            if n is None or not INT64.min <= n <= INT64.max:
-                raise InputError(f"{name} must be an integer in int64 range, got {value!r}")
-            object.__setattr__(self, name, int(n))
+        for name in ("view", "session"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), *INT64, error=InputError))
         if self.key is None:
             key = sequence_key(self.subject_id, self.condition, self.view, self.session)
             object.__setattr__(self, "key", key)

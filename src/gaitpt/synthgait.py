@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .errors import ConfigError, InputError, config_int, config_rule
+from .errors import INT64, ConfigError, InputError, checked_int, config_rule
 from .skeleton import Condition, GaitSequence, duplicate_nose
 
 SHIN_FOLLOW = 0.85     # shin angle as a fraction of the thigh angle
@@ -197,7 +197,7 @@ def generate_sequence(
     return GaitSequence(
         subject_id=subject_id,
         condition=condition,
-        view=int(view),
+        view=view,
         session=session,
         frames=pose,
         key=key,
@@ -230,7 +230,8 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("identities", "sequences_per_identity", "frames"):
-            object.__setattr__(self, name, config_int(name, getattr(self, name)))
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
         # Each rule is false for NaN.
         config_rule("noise_level", self.noise_level, "finite and >= 0", lambda v: 0 <= v < math.inf)
         config_rule("train_fraction", self.train_fraction, "in [0, 1)", lambda v: 0 <= v < 1)
@@ -244,7 +245,7 @@ class SynthConfig:
             raise ConfigError("need at least one condition")
         if Condition.NM not in conds:
             raise ConfigError("the NM condition is required (it enrolls the gallery)")
-        object.__setattr__(self, "views", tuple(int(v) for v in self.views))
+        object.__setattr__(self, "views", tuple(checked_int("views", v, *INT64) for v in self.views))
         object.__setattr__(self, "conditions", conds)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import (
-    ConfigError, InputError, NumericError, SamplingError, ShapeError, config_int, config_rule,
+    ConfigError, InputError, NumericError, SamplingError, ShapeError, checked_int, config_rule,
 )
 from .model import GaitPTModel
 from .numcore import GradTape, Parameter, Tensor
@@ -62,9 +62,9 @@ class TrainConfig:
     def __post_init__(self):
         for name, minimum in (("p", 2), ("k", 2), ("step_size", 1), ("epochs", 1),
                               ("seed", 0), ("micro_batch", 1)):
-            setattr(self, name, config_int(name, getattr(self, name), minimum))
+            setattr(self, name, checked_int(name, getattr(self, name), minimum))
         if self.steps_per_epoch is not None:
-            self.steps_per_epoch = config_int("steps_per_epoch", self.steps_per_epoch)
+            self.steps_per_epoch = checked_int("steps_per_epoch", self.steps_per_epoch)
         # Each rule is false for NaN; lr_max comes before lr_min, which reads it.
         for name, rule, ok in (
             ("margin", "> 0", lambda v: v > 0),

@@ -128,6 +128,18 @@ def test_embed_checkpoint_with_malformed_param_table_exits_3(workdir, tmp_path, 
     assert "'params'" in capsys.readouterr().err
 
 
+def test_embed_checkpoint_with_a_bool_head_count_exits_3(workdir, tmp_path, capsys):
+    header_line, _, payload = (workdir / "model.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["model_config"]["heads"] = True
+    ckpt = tmp_path / "bool_heads.ckpt"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    rc = main(["embed", "--data", str(workdir / "ds" / "probe.jsonl"), "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "emb.jsonl")])
+    assert rc == 3
+    assert "heads must be an integer >= 1, got True" in capsys.readouterr().err
+
+
 def test_train_config_with_two_block_counts_exits_2(workdir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": {**TINY_RUN_CONFIG["model"], "blocks": [1, 2]}}))

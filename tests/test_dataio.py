@@ -107,13 +107,23 @@ def test_read_records_reports_non_utf8_byte_offset(tmp_path):
         dataio.read_records(path)
 
 
-@pytest.mark.parametrize("field, value", [
+BAD_INTEGER_LABELS = [
     ("view", 90.7), ("view", 90.0), ("view", "90"), ("view", True),
     ("session", True), ("session", 1.5), ("session", "1"), ("session", None),
     # integers outside int64, which EmbeddingSet would wrap or fail to hold
     ("view", 2**63), ("view", -(2**63) - 1), ("view", 10**30),
     ("session", 2**63), ("session", -(2**63) - 1), ("session", 10**30),
-])
+]
+
+BAD_LABELS_AND_WIDTHS = [
+    ("key", 5, "a string"), ("key", None, "a string"), ("subject_id", True, "a string"),
+    ("subject_id", 7, "a string"), ("condition", ["NM"], "a string"),
+    ("frame_width", "1.0", "a number"), ("frame_width", True, "a number"),
+    ("frame_width", None, "a number"), ("condition", "XX", "one of NM, BG, CL, OTHER"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_INTEGER_LABELS)
 def test_non_integer_view_or_session_is_rejected_by_line(tmp_path, field, value):
     path = tmp_path / "bad.jsonl"
     path.write_text(_record_line() + _record_line(key="y", **{field: value}))
@@ -121,12 +131,7 @@ def test_non_integer_view_or_session_is_rejected_by_line(tmp_path, field, value)
         dataio.read_records(path)
 
 
-@pytest.mark.parametrize("field, value, rule", [
-    ("key", 5, "a string"), ("key", None, "a string"), ("subject_id", True, "a string"),
-    ("subject_id", 7, "a string"), ("condition", ["NM"], "a string"),
-    ("frame_width", "1.0", "a number"), ("frame_width", True, "a number"),
-    ("frame_width", None, "a number"),
-])
+@pytest.mark.parametrize("field, value, rule", BAD_LABELS_AND_WIDTHS)
 def test_mistyped_label_or_frame_width_is_rejected_by_line(tmp_path, field, value, rule):
     path = tmp_path / "bad.jsonl"
     path.write_text(_record_line() + _record_line(**{"key": "y", field: value}))
@@ -154,6 +159,42 @@ def test_frame_coordinate_that_is_not_a_number_is_rejected_by_line(tmp_path, coe
     path.write_text(_record_line() + _record_line(key="y", frames=frames))
     with pytest.raises(DataFormatError, match="line 2: frames must hold only JSON numbers"):
         dataio.read_records(path)
+
+
+_RECORD_FIELDS = dict(key="x", subject_id="s0", condition="NM", view=90, session=1, frame_width=640.0)
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    *((field, value, "must be an integer in int64 range") for field, value in BAD_INTEGER_LABELS),
+    *((field, value, f"must be {rule}") for field, value, rule in BAD_LABELS_AND_WIDTHS),
+    ("frame_width", float("nan"), "must be finite and > 0"), ("frame_width", 10**400, "must be finite and > 0"),
+    ("frames", _strings(np.ones((2, 17, 2)).tolist()), "must hold integers or floats"),
+    ("frames", np.ones((2, 17, 2), dtype=bool), "must hold integers or floats"),
+    ("frames", np.ones((2, 17, 2), dtype=object), "must hold integers or floats"),
+    ("frames", np.ones((2, 16, 2)), r"need shape \(n, 17, 2\)"),
+    ("frames", [np.ones((17, 2)), np.ones((16, 2))], r"need shape \(n, 17, 2\)"),
+    ("frames", np.full((2, 17, 2), np.inf), "hold non-finite coordinates"),
+])
+def test_record_refuses_what_the_reader_refuses(field, value, rule):
+    fields = {**_RECORD_FIELDS, "frames": np.ones((2, 17, 2)), field: value}
+    with pytest.raises(DataFormatError, match=f"^{field} {rule}"):
+        dataio.SequenceRecord(**fields)
+
+
+def test_record_with_numpy_scalars_roundtrips_unchanged(tmp_path):
+    frames = np.arange(2 * 17 * 2, dtype=np.float32).reshape(2, 17, 2)
+    rec = dataio.SequenceRecord(key="k", subject_id="s", condition=Condition.CL, view=np.int64(90),
+                                session=np.int16(2), frame_width=np.float32(640), frames=frames)
+    assert (rec.condition, rec.view, rec.session, rec.frame_width) == ("CL", 90, 2, 640.0)
+    assert [type(v) for v in (rec.condition, rec.view, rec.session, rec.frame_width)] == [str, int, int, float]
+    assert rec.frames.dtype == np.float64
+    path = tmp_path / "r.jsonl"
+    dataio.write_records([rec, replace(rec, key="i", frames=frames.astype(np.int16))], path)
+    back = dataio.read_records(path)
+    for name in ("key", "subject_id", "condition", "view", "session", "frame_width"):
+        assert getattr(back[0], name) == getattr(rec, name)
+        assert type(getattr(back[0], name)) is type(getattr(rec, name))
+    assert np.array_equal(back[0].frames, frames) and np.array_equal(back[1].frames, frames)
 
 
 def test_view_and_session_at_the_int64_bounds_load(tmp_path):
@@ -282,6 +323,26 @@ def test_malformed_manifest_names_file_and_field(tmp_path, capsys, field, value)
     assert str(path) in str(err.value)
     assert main(["train", "--data", str(path), "--out", str(tmp_path / "m.ckpt")]) == 3
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dataset_name", 5), ("seed", 1.5), ("seed", True), ("files", {"train": 3}), ("splits", {"train": "k"}),
+])
+def test_manifest_refuses_a_mistyped_field_as_the_loader_does(tmp_path, field, value):
+    obj = {"dataset_name": "d", "seed": 0, "files": {}, "splits": {}, field: value}
+    with pytest.raises(DataFormatError, match=f"^manifest field '{field}' must be"):
+        dataio.Manifest(**obj)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataFormatError, match=f"manifest field '{field}' must be") as err:
+        dataio.load_manifest(path)
+    assert str(path) in str(err.value)
+
+
+def test_manifest_with_a_numpy_seed_roundtrips(tmp_path):
+    manifest = dataio.Manifest(dataset_name="d", seed=np.int64(7), files={}, splits={"train": ["k"]})
+    assert type(manifest.seed) is int
+    assert dataio.load_manifest(dataio.write_manifest(manifest, tmp_path / "m.json")) == manifest
 
 
 def test_non_utf8_manifest_is_a_data_format_error(tmp_path, capsys):
@@ -547,6 +608,11 @@ def test_removed_model_fields_are_unknown_keys(key):
     ("train", "beta2", 1.0),
     ("train", "eps", -1),
     ("train", "eps", float("nan")),
+    # bools are not counts
+    ("model", "blocks", True),
+    ("model", "dims", [True, 16, 32, 64]),
+    ("train", "epochs", True),
+    ("train", "seed", False),
 ])
 def test_config_from_dict_names_the_bad_field(section, key, value):
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):

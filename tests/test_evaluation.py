@@ -16,7 +16,6 @@ from gaitpt.evaluation import (
     embed_sequence_set,
     grew_eval,
     partition_study,
-    pearson_r,
     rank_k_accuracy,
     welch_t_test,
 )
@@ -124,6 +123,9 @@ def test_rank_k_validation():
     probe = make_set([("p", "A", "NM", 0, 1, [0.0])])
     with pytest.raises(InputError):
         rank_k_accuracy(gallery, probe, [0])
+    for ks in ([1.9], [True], []):  # not coerced to rank 1
+        with pytest.raises(InputError, match="rank"):
+            rank_k_accuracy(gallery, probe, ks)
     with pytest.raises(ProtocolError):
         rank_k_accuracy(gallery.select(np.zeros(1, dtype=bool)), probe, [1])
 
@@ -331,32 +333,6 @@ def test_welch_degenerate_samples_rejected():
         welch_t_test([2.0, 2.0], [3.0, 3.0])
 
 
-def test_pearson_perfect_correlations():
-    assert pearson_r([1, 2, 3], [2, 4, 6]) == 1.0
-    assert pearson_r([1, 2, 3], [-1, -2, -3]) == -1.0
-
-
-def test_pearson_matches_numpy_oracle():
-    rng = np.random.default_rng(24)
-    for _ in range(100):
-        x = rng.normal(size=rng.integers(3, 40))
-        y = rng.normal(size=x.size) + 0.3 * x
-        assert abs(pearson_r(x, y) - np.corrcoef(x, y)[0, 1]) < 1e-9
-
-
-def test_pearson_affine_invariance():
-    rng = np.random.default_rng(25)
-    x, y = rng.normal(size=20), rng.normal(size=20)
-    base = pearson_r(x, y)
-    assert np.isclose(pearson_r(3.0 * x + 7.0, y), base)
-    assert np.isclose(pearson_r(x, 0.2 * y - 5.0), base)
-
-
-def test_pearson_zero_variance_rejected():
-    with pytest.raises(StatisticsError):
-        pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------
@@ -392,6 +368,10 @@ def test_ablation_requires_runs_for_t_tests():
     with pytest.raises(ConfigError):
         ablation_run(small_dataset(), [(4,), (1, 4)], runs=1, seed=0,
                      model_config=tiny_config(), train_config=fast_train_config())
+    for runs in (True, 2.5):  # not run counts
+        with pytest.raises(ConfigError, match="runs must be an integer"):
+            ablation_run(small_dataset(), [(4,)], runs=runs, seed=0,
+                         model_config=tiny_config(), train_config=fast_train_config(epochs=1))
 
 
 def test_partition_study_covers_all_schemes():

@@ -251,7 +251,8 @@ def test_synth_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("identities", 2.5), ("sequences_per_identity", "4"), ("frames", None),
     ("noise_level", float("nan")), ("noise_level", float("inf")), ("noise_level", "0.1"),
-    ("train_fraction", float("nan")), ("train_fraction", None),
+    ("train_fraction", float("nan")), ("train_fraction", None), ("identities", True),
+    ("seed", True), ("seed", 1.5), ("seed", -1), ("views", (0.5, 90)), ("views", (True,)),
 ])
 def test_synth_config_rejects_a_bad_value_by_name(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
