@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import INT64, ConfigError, DataFormatError, IntegrityError, checked_int
+from .errors import INT64, ConfigError, DataFormatError, IntegrityError, checked_int, checked_real
 from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
 from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
@@ -56,16 +55,9 @@ class SequenceRecord:
         for name in ("view", "session"):
             value = checked_int(name, getattr(self, name), *INT64, error=DataFormatError)
             object.__setattr__(self, name, value)
-        width = self.frame_width
-        if isinstance(width, bool) or not isinstance(width, numbers.Real):
-            raise DataFormatError(f"frame_width must be a number, got {width!r}")
-        try:
-            finite = 0 < float(width) < math.inf  # false for NaN
-        except OverflowError:  # an int past float's range
-            finite = False
-        if not finite:
-            raise DataFormatError(f"frame_width must be finite and > 0, got {width!r}")
-        object.__setattr__(self, "frame_width", float(width))
+        width = checked_real("frame_width", self.frame_width, "finite and > 0",
+                             lambda v: 0 < v < math.inf, DataFormatError)
+        object.__setattr__(self, "frame_width", width)
         try:
             arr = np.asarray(self.frames)
         except ValueError as e:  # ragged nesting
@@ -208,6 +200,7 @@ class Manifest:
             ("splits", "an object of key lists", isinstance(self.splits, dict) and all(
                 isinstance(keys, list) and all(isinstance(k, str) for k in keys)
                 for keys in self.splits.values())),
+            ("generator", "an object or null", self.generator is None or isinstance(self.generator, dict)),
         ):
             if not ok:
                 raise DataFormatError(f"manifest field {name!r} must be {rule}")
@@ -228,9 +221,8 @@ def write_manifest(manifest: Manifest, path) -> Path:
     obj = {k: getattr(manifest, k) for k in _MANIFEST_KEYS}
     if manifest.generator is not None:
         obj["generator"] = manifest.generator
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # serialized before the file opens, so a failure leaves an old manifest as it was
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
 
 

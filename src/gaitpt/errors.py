@@ -5,6 +5,7 @@ data/protocol problems exit 3, anything else is treated as an internal
 invariant violation and exits 4.
 """
 
+import numbers
 import operator
 
 
@@ -36,15 +37,20 @@ def checked_int(name: str, value, minimum: int | None = 1, maximum: int | None =
     return n
 
 
-def config_rule(name: str, value, rule: str, ok) -> None:
-    """Raise a ConfigError naming `name` and `rule` unless `ok(value)` is
-    true; a value `ok` cannot compare (TypeError) fails too."""
+def checked_real(name: str, value, rule: str, ok, error: type[GaitError] = ConfigError) -> float:
+    """`value` as a float for which `ok` is true, `rule` saying in words
+    what `ok` checks. A `numbers.Real` (Python or numpy) is a number, except
+    a bool; anything else, an int past float's range, or a value `ok`
+    refuses (NaN fails every comparison) raises `error` naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
     try:
-        valid = bool(ok(value))
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+        x = float(value)
+    except OverflowError:  # an int past float's range
+        x = None
+    if x is None or not ok(x):
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return x
 
 
 class InputError(GaitError, ValueError):

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, checked_int, checked_real
 
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
@@ -690,12 +690,17 @@ def grad_check(
     """Compare analytic gradients of scalar-valued `f` at `x` to central
     differences (f(x+h e_i) - f(x-h e_i)) / 2h.
 
-    Relative error per coordinate is |a-n| / max(1, |a|, |n|). Inputs must be
-    float64. `sample` limits the check to that many randomly chosen
-    coordinates (seeded through `rng`); default checks all of them.
+    Relative error per coordinate is |a-n| / max(1, |a|, |n|), and NaN where
+    either side is not finite, which fails the report. Inputs must be
+    non-empty float64. `sample` (>= 1) limits the check to that many randomly
+    chosen coordinates (seeded through `rng`); default checks all of them.
     """
-    if x.dtype != np.float64:
-        raise ConfigError(f"grad_check requires float64 input, got {x.dtype}")
+    if x.dtype != np.float64 or x.size == 0:
+        raise ConfigError(f"grad_check requires non-empty float64 input, got {x.dtype} {x.shape}")
+    h = checked_real("h", h, "finite and > 0", lambda v: 0 < v < math.inf)
+    tol = checked_real("tol", tol, "finite and >= 0", lambda v: 0 <= v < math.inf)  # 0 fails every report
+    if sample is not None:
+        sample = checked_int("sample", sample)
 
     leaf = Tensor(x.data.copy(), requires_grad=True)
     with GradTape():
@@ -713,16 +718,20 @@ def grad_check(
         coords = gen.choice(x.size, size=sample, replace=False)
 
     base = x.data.reshape(-1).copy()
-    max_rel = 0.0
-    for i in coords:
+    numeric = np.empty(len(coords))
+    for j, i in enumerate(coords):
         probe = base.copy()
         probe[i] = base[i] + h
         fp = f(Tensor(probe.reshape(x.shape))).item()
         probe[i] = base[i] - h
         fm = f(Tensor(probe.reshape(x.shape))).item()
-        numeric = (fp - fm) / (2.0 * h)
-        rel = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]), abs(numeric))
-        max_rel = max(max_rel, rel)
+        numeric[j] = (fp - fm) / (2.0 * h)
+    # A non-finite coordinate's error is NaN (inf/inf or nan), which np.max
+    # keeps and `passed` refuses; so does a non-finite analytic one not sampled.
+    a = analytic[coords]
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(a - numeric) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
+    max_rel = np.max(rel, initial=0.0) if np.isfinite(analytic).all() else math.nan
 
     return GradCheckReport(
         max_rel_err=float(max_rel),

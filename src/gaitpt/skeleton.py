@@ -9,12 +9,13 @@ head group and the four limbs tile all 18 joints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import INT64, ConfigError, DataFormatError, InputError, checked_int
+from .errors import INT64, ConfigError, DataFormatError, InputError, checked_int, checked_real
 
 JOINTS = 18
 RAW_JOINTS = 17
@@ -122,9 +123,8 @@ def duplicate_nose(raw17) -> np.ndarray:
 
 def normalize_sequence(seq: GaitSequence, frame_width: float) -> GaitSequence:
     """Divide both coordinates of every joint by the frame width."""
-    if not (np.isfinite(frame_width) and frame_width > 0):
-        raise InputError(f"frame_width must be finite and > 0, got {frame_width}")
-    return replace(seq, frames=seq.frames / float(frame_width))
+    width = checked_real("frame_width", frame_width, "finite and > 0", lambda v: 0 < v < math.inf, InputError)
+    return replace(seq, frames=seq.frames / width)
 
 
 def sample_window(seq: GaitSequence, length: int, rng: np.random.Generator) -> np.ndarray:

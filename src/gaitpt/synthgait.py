@@ -18,13 +18,13 @@ arm's swing as if carrying a bag, CL jitters limb lengths per sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .errors import INT64, ConfigError, InputError, checked_int, config_rule
+from .errors import INT64, ConfigError, InputError, checked_int, checked_real
 from .skeleton import Condition, GaitSequence, duplicate_nose
 
 SHIN_FOLLOW = 0.85     # shin angle as a fraction of the thigh angle
@@ -58,21 +58,17 @@ class IdentityParams:
     noise_level: float = 0.004
 
     def __post_init__(self):
-        lengths = (
-            self.torso_len, self.neck_len, self.shoulder_halfwidth,
-            self.hip_halfwidth, self.upper_arm, self.forearm, self.thigh, self.shin,
-        )
-        # Each check is written so that NaN fails it.
-        if not all(0 < v < math.inf for v in lengths):
-            raise InputError("all body lengths must be finite and > 0")
-        if not 0 < self.stride_freq < 0.5:
-            raise InputError(f"stride frequency must be in (0, 0.5), got {self.stride_freq}")
-        if not all(0 <= a < math.inf for a in (self.leg_amp, self.arm_amp, self.bob_amp, self.sway_amp)):
-            raise InputError("amplitudes must be finite and >= 0")
-        if not math.isfinite(self.phase) or not math.isfinite(self.arm_phase):
-            raise InputError("phases must be finite")
-        if not 0 <= self.noise_level < math.inf:
-            raise InputError(f"noise level must be finite and >= 0, got {self.noise_level}")
+        for f in fields(self):  # each rule is false for NaN
+            if f.name == "stride_freq":
+                rule, ok = "in (0, 0.5)", lambda v: 0 < v < 0.5
+            elif f.name.endswith("phase"):
+                rule, ok = "finite", math.isfinite
+            elif f.name.endswith("amp") or f.name == "noise_level":
+                rule, ok = "finite and >= 0", lambda v: 0 <= v < math.inf
+            else:  # a body length
+                rule, ok = "finite and > 0", lambda v: 0 < v < math.inf
+            value = checked_real(f.name, getattr(self, f.name), rule, ok, InputError)
+            object.__setattr__(self, f.name, value)
 
 
 # Sampling ranges; chosen wide enough that two random identities differ in
@@ -116,8 +112,7 @@ def generate_sequence(
 
     Already 18-joint (nose duplicated) and width-normalized to [0, 1].
     """
-    if frames < 1:
-        raise InputError(f"frames must be >= 1, got {frames}")
+    frames = checked_int("frames", frames, error=InputError)
     condition = Condition(condition)
     ident = identity
     if condition is Condition.CL:
@@ -232,9 +227,9 @@ class SynthConfig:
         for name in ("identities", "sequences_per_identity", "frames"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
-        # Each rule is false for NaN.
-        config_rule("noise_level", self.noise_level, "finite and >= 0", lambda v: 0 <= v < math.inf)
-        config_rule("train_fraction", self.train_fraction, "in [0, 1)", lambda v: 0 <= v < 1)
+        for name, rule, ok in (("noise_level", "finite and >= 0", lambda v: 0 <= v < math.inf),
+                               ("train_fraction", "in [0, 1)", lambda v: 0 <= v < 1)):
+            object.__setattr__(self, name, checked_real(name, getattr(self, name), rule, ok))
         if not self.views:
             raise ConfigError("need at least one view")
         for c in self.conditions:

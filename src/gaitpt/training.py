@@ -6,9 +6,10 @@ through the network in micro-batches, in the parameters' dtype. Every
 micro-batch's tape stays alive until the whole P x K batch is mined, so peak
 memory grows with P x K; each tape keeps only what its VJPs read (see
 `numcore`), 152 MB for one default-model float32 micro-batch of 8 windows.
-A default step (P x K = 32, micro-batch 8, one BLAS thread on a 2-CPU
-x86_64 host) takes a median 2.39 s and peaks at 647 MB traced and 751 MB
-resident; the criterion-6 model's P x K = 24 step peaks at 60 MB traced.
+Traced (tracemalloc), a default P x K = 32 step peaks at about 610 MB and
+the criterion-6 model's P x K = 24 step at about 52 MB, as
+`test_criterion6_training_step_traced_peak_is_bounded` measures (numpy 2.4,
+x86_64); README's Performance table gives step times and resident peaks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import (
-    ConfigError, InputError, NumericError, SamplingError, ShapeError, checked_int, config_rule,
+    ConfigError, InputError, NumericError, SamplingError, ShapeError, checked_int, checked_real,
 )
 from .model import GaitPTModel
 from .numcore import GradTape, Parameter, Tensor
@@ -73,7 +74,7 @@ class TrainConfig:
             ("gamma", "in (0, 1]", lambda v: 0 < v <= 1),
             *_ADAMW_RULES,
         ):
-            config_rule(name, getattr(self, name), rule, ok)
+            setattr(self, name, checked_real(name, getattr(self, name), rule, ok))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -186,10 +187,10 @@ def adamw_step(
     gradient of the wrong shape or dtype a ShapeError, before anything is
     written.
     """
-    config_rule("learning rate", lr, "finite and > 0", lambda v: 0 < v < math.inf)
+    lr = checked_real("learning rate", lr, "finite and > 0", lambda v: 0 < v < math.inf)
     hyper = {"weight_decay": weight_decay, "beta1": beta1, "beta2": beta2, "eps": eps}
-    for name, rule, ok in _ADAMW_RULES:
-        config_rule(name, hyper[name], rule, ok)
+    weight_decay, beta1, beta2, eps = (checked_real(name, hyper[name], rule, ok)
+                                       for name, rule, ok in _ADAMW_RULES)
     for name, p in params.items():
         g, theta = grads.get(name), p.value.data
         if g is not None and g.shape != theta.shape:
@@ -220,8 +221,7 @@ def cyclic_lr(iteration: int, cfg: TrainConfig) -> float:
     """Triangular wave between lr_min and lr_min + amplitude * gamma^iter,
     with `step_size` iterations per half-cycle. Starts at lr_min; `train`
     steps it once per epoch."""
-    if iteration < 0:
-        raise InputError(f"iteration must be >= 0, got {iteration}")
+    iteration = checked_int("iteration", iteration, 0, error=InputError)
     cycle = math.floor(1 + iteration / (2.0 * cfg.step_size))
     x = abs(iteration / cfg.step_size - 2.0 * cycle + 1.0)
     amplitude = (cfg.lr_max - cfg.lr_min) * (cfg.gamma ** iteration)

@@ -331,3 +331,9 @@ def test_partition_study_smoke(workdir, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["labels"] == ["HUL", "OPPOSITE"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_gradcheck_with_a_meaningless_tolerance_exits_2(capsys, tol):
+    assert main(["gradcheck", f"--tol={tol}", "--seed", "0"]) == 2
+    assert "tol must be finite and >= 0" in capsys.readouterr().err

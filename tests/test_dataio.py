@@ -683,3 +683,26 @@ def test_integer_past_the_digit_limit_names_the_file(tmp_path, capsys, reader, e
         assert "line 2" in str(err.value)
     assert main(argv) == code
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator", [5, "g", [1]])
+def test_manifest_generator_must_be_an_object_or_null(tmp_path, generator):
+    obj = {"dataset_name": "d", "seed": 0, "files": {}, "splits": {}, "generator": generator}
+    with pytest.raises(DataFormatError, match="^manifest field 'generator' must be an object or null"):
+        dataio.Manifest(**obj)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataFormatError, match="manifest field 'generator' must be an object or null"):
+        dataio.load_manifest(path)
+
+
+def test_failed_manifest_write_leaves_the_old_file_unchanged(tmp_path):
+    path = dataio.write_manifest(
+        dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator={"frames": 8}),
+        tmp_path / "manifest.json")
+    before = path.read_bytes()
+    unserializable = dataio.Manifest(dataset_name="d", seed=1, files={}, splits={},
+                                     generator={"noise_level": object()})
+    with pytest.raises(TypeError):
+        dataio.write_manifest(unserializable, path)
+    assert path.read_bytes() == before

@@ -557,3 +557,55 @@ def test_criterion6_training_step_traced_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak_mb < 90, f"{peak_mb:.1f} MB"
+
+
+def _square_with_vjp(vjp):
+    """sum(x^2) through a primitive whose VJP is `vjp(x, g)`, not 2 x g."""
+    def f(x):
+        return nc.tensor_sum(nc._record(Tensor(x.data ** 2), (x,), lambda g: (vjp(x.data, g),)))
+    return f
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
+def test_grad_check_fails_a_vjp_with_non_finite_gradients(fill):
+    f = _square_with_vjp(lambda x, g: np.full(x.shape, fill))
+    report = nc.grad_check(f, t64([0.3, -1.2, 2.0]), tol=1e-4)
+    assert not report.passed and math.isnan(report.max_rel_err)
+    assert nc.grad_check(_square_with_vjp(lambda x, g: 2.0 * x * g), t64([0.3, -1.2, 2.0])).passed
+
+
+def test_grad_check_fails_a_non_finite_analytic_coordinate_it_did_not_sample():
+    def vjp(x, g):
+        grad = 2.0 * x * g
+        grad[0] = math.nan
+        return grad
+    x = t64(np.linspace(1.0, 2.0, 50))
+    report = nc.grad_check(_square_with_vjp(vjp), x, tol=1e-4, sample=1, rng=np.random.default_rng(0))
+    assert report.checked == 1 and not report.passed
+
+
+def test_grad_check_fails_a_non_finite_difference():
+    x0 = np.array([0.3, -1.2, 2.0])
+
+    def f(x):  # finite at x0 only: every central difference is inf - inf
+        return nc.tensor_sum(x) if np.array_equal(x.data, x0) else Tensor(np.array(math.inf))
+    report = nc.grad_check(f, t64(x0), tol=1e-4)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sample": 0}, "sample must be an integer >= 1"), ({"sample": True}, "sample must be an integer"),
+    ({"sample": 1.5}, "sample must be an integer"),
+    ({"tol": math.nan}, "tol must be finite and >= 0"), ({"tol": math.inf}, "tol must be finite"),
+    ({"tol": -1.0}, "tol must be finite and >= 0"), ({"tol": True}, "tol must be a number"),
+    ({"h": 0.0}, "h must be finite and > 0"), ({"h": math.nan}, "h must be finite and > 0"),
+    ({"h": -1e-5}, "h must be finite and > 0"), ({"h": "1e-5"}, "h must be a number"),
+])
+def test_grad_check_refuses_a_vacuous_or_meaningless_setting(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        nc.grad_check(lambda x: nc.tensor_sum(nc.mul(x, x)), t64([0.3, -1.2, 2.0]), **kwargs)
+
+
+def test_grad_check_refuses_an_input_with_no_coordinates():
+    with pytest.raises(ConfigError, match="non-empty"):
+        nc.grad_check(lambda x: nc.tensor_sum(x), t64(np.zeros((2, 0))))

@@ -257,3 +257,10 @@ def test_synth_config_validation():
 def test_synth_config_rejects_a_bad_value_by_name(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         SynthConfig(**{field: value})
+
+
+def test_build_dataset_with_a_numpy_noise_level_writes_a_loadable_manifest(tmp_path):
+    cfg = SynthConfig(identities=3, sequences_per_identity=4, frames=8, views=(0,), seed=24,
+                      noise_level=np.float32(0.004))
+    manifest = dataio.load_manifest(build_dataset(cfg, tmp_path))
+    assert manifest.generator["noise_level"] == float(np.float32(0.004))
