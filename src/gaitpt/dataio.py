@@ -3,8 +3,8 @@ model checkpoints, and run configuration files.
 
 Records store 17 joints (the pose-estimator-native count); the duplicated
 nose and width normalization are applied at load. Checkpoints are a JSON
-header line followed by a raw little-endian parameter payload in header
-order, guarded by a length check and a CRC32.
+header line and the flat parameter vector (little-endian, in the order of
+its [name, shape] table); the length must fit the table, the CRC32 the bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import INT64, ConfigError, DataFormatError, IntegrityError, checked_int, checked_real
 from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
+from .numcore import Tensor
 from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
 from .training import TrainConfig
 
@@ -204,6 +205,10 @@ class Manifest:
         ):
             if not ok:
                 raise DataFormatError(f"manifest field {name!r} must be {rule}")
+        try:  # as `write_manifest` will: a numpy scalar, a set or mixed-type keys fail here
+            json.dumps(self.generator, sort_keys=True)
+        except (TypeError, ValueError) as e:
+            raise DataFormatError(f"manifest field 'generator' must hold only JSON values: {e}") from None
         seed = checked_int("manifest field 'seed'", self.seed, None, error=DataFormatError)
         object.__setattr__(self, "seed", seed)
         seen: dict[str, str] = {}
@@ -272,17 +277,14 @@ def load_split_sequences(manifest_path) -> dict[str, list[GaitSequence]]:
 
 def save_checkpoint(model: GaitPTModel, path) -> Path:
     path = Path(path)
-    names = list(model.params)
-    payload = b"".join(
-        model.params[n].value.data.astype(model.config.np_dtype.newbyteorder("<")).tobytes()
-        for n in names
-    )
+    # a view, not a copy, on a little-endian host: saving holds the parameters twice, not three times
+    payload = model.flat_parameters().data.astype(model.config.np_dtype.newbyteorder("<"), copy=False)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "dtype": model.config.dtype,
         "model_config": model.config.to_dict(),
-        "params": [[n, list(model.params[n].value.shape)] for n in names],
-        "payload_bytes": len(payload),
+        "params": _param_table(model),
+        "payload_bytes": payload.nbytes,
         "crc32": zlib.crc32(payload),
     }
     with open(path, "wb") as fh:
@@ -291,11 +293,17 @@ def save_checkpoint(model: GaitPTModel, path) -> Path:
     return path
 
 
+def _param_table(model: GaitPTModel) -> list:
+    """The header's [[name, shape], ...] table, in flat-vector order."""
+    return [[name, list(p.value.shape)] for name, p in model.params.items()]
+
+
 def load_checkpoint(path) -> GaitPTModel:
     """Rebuild a model bitwise from a checkpoint file.
 
-    Rejects version mismatches, truncated or corrupted payloads, and
-    malformed headers.
+    Rejects version mismatches, truncated or corrupted payloads, malformed
+    headers, and a `params` table (compared as JSON text, so `2.0` for `2`
+    fails) or payload length that differs from the config's flat vector.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -322,27 +330,16 @@ def load_checkpoint(path) -> GaitPTModel:
     except (KeyError, TypeError, ConfigError) as e:
         raise DataFormatError(f"{path}: invalid model config in header: {e}") from e
 
-    table = header["params"]
-    if not (isinstance(table, list) and all(
-        isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
-        and isinstance(row[1], list) and all(type(n) is int and n >= 0 for n in row[1])
-        for row in table
-    )):
-        raise DataFormatError(f"{path}: checkpoint 'params' is not a list of [name, shape] pairs")
     model = GaitPTModel(config, seed=0)
+    if json.dumps(header["params"]) != json.dumps(_param_table(model)):
+        raise IntegrityError(f"{path}: 'params' is not a list of [name, shape] pairs of its config")
     dtype = config.np_dtype.newbyteorder("<")
-    if [name for name, _ in table] != list(model.params):
-        raise IntegrityError(f"{path}: parameter table does not match the config's parameters")
-    offset = 0
-    for name, shape in table:
-        p = model.params[name]
-        if tuple(shape) != p.value.shape:
-            raise IntegrityError(f"{path}: parameter {name} has shape {shape}, expected {p.value.shape}")
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        chunk = payload[offset : offset + nbytes]
-        arr = np.frombuffer(chunk, dtype=dtype).reshape(shape)
-        p.value.data[...] = arr
-        offset += nbytes
+    needed = model.param_count() * dtype.itemsize
+    if len(payload) != needed:
+        raise IntegrityError(f"{path}: payload is {len(payload)} bytes, the parameter table needs {needed}")
+    flat = np.frombuffer(payload, dtype=dtype).astype(config.np_dtype, copy=False)
+    for name, value in model.params_from_flat(Tensor(flat)).items():
+        model.params[name].value.data[...] = value.data
     return model
 
 

@@ -79,7 +79,9 @@ def embed_sequence_set(model: GaitPTModel, seqs: Sequence[GaitSequence]) -> Embe
     emb = model.embed_arrays(windows)
     keys, seen = [], set()
     for i, s in enumerate(seqs):
-        key = s.key if s.key not in seen else f"{s.key}#{i}"
+        key, j = s.key, i
+        while key in seen:  # a repeat becomes the first free "key#j", j >= its index
+            key, j = f"{s.key}#{j}", j + 1
         seen.add(key)
         keys.append(key)
     return EmbeddingSet(

@@ -223,6 +223,15 @@ def test_embed_row_does_not_depend_on_the_other_records(workdir, tmp_path):
         assert (tmp_path / "row.jsonl").read_text() == rows[i], f"probe line {i + 1}"
 
 
+def test_embed_keeps_a_repeated_key_apart_from_a_stored_one(workdir, tmp_path):
+    line = json.loads((workdir / "ds" / "probe.jsonl").read_text().splitlines()[0])
+    data = tmp_path / "repeats.jsonl"
+    data.write_text("".join(json.dumps({**line, "key": key}) + "\n" for key in ("k", "k#2", "k")))
+    out = tmp_path / "emb.jsonl"
+    assert main(["embed", "--data", str(data), "--ckpt", str(workdir / "model.ckpt"), "--out", str(out)]) == 0
+    assert [json.loads(row)["key"] for row in out.read_text().splitlines()] == ["k", "k#2", "k#3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["embed", "--data", "{empty}", "--out", "{tmp}/emb.jsonl"],
     ["eval", "--gallery", "{empty}", "--probe", "{probe}"],

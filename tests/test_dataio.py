@@ -2,6 +2,7 @@
 validation, bit-exact checkpoints with integrity checks, and run configs."""
 
 import json
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -409,12 +410,22 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
             dataio.load_checkpoint(path)
 
 
+def _tiny_table_with_first_dim(value):
+    """The [name, shape] table of `tiny_config()` (first row `input_proj.w`,
+    shape [2, 8]) with that 2 replaced by `value`."""
+    table = [[name, list(p.value.shape)] for name, p in GaitPTModel(tiny_config(), seed=0).params.items()]
+    table[0][1][0] = value
+    return table
+
+
 _BAD_PARAM_TABLES = {
     "params=5": 5,
     "params=[[name]]": [["input_proj.w"]],
     "params=[[3, shape]]": [[3, [2, 8]]],
     "params=[[name, [2.5, 8]]]": [["input_proj.w", [2.5, 8]]],
     "params=[[name, [-2, 8]]]": [["input_proj.w", [-2, 8]]],
+    "params=full table, [2.0, 8]": _tiny_table_with_first_dim(2.0),
+    "params=full table, [true, 8]": _tiny_table_with_first_dim(True),
 }
 
 
@@ -436,6 +447,54 @@ def test_checkpoint_header_gaps_name_file_and_field(tmp_path, field):
     with pytest.raises(DataFormatError, match=expected) as err:
         dataio.load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_checkpoint_params_table_refuses_true_for_a_one(tmp_path):
+    """`true == 1` in Python, but a shape entry of 1 must be the integer."""
+    path = tmp_path / "m.ckpt"
+    dataio.save_checkpoint(GaitPTModel(tiny_config(output_dim=1), seed=6), path)
+    header_line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    assert header["params"][-1] == ["head.b", [1]]
+    header["params"][-1][1][0] = True
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(DataFormatError, match=r"'params' is not a list of \[name, shape\] pairs"):
+        dataio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_payload_is_each_parameter_little_endian_in_table_order(tmp_path, dtype):
+    model = GaitPTModel(tiny_config(dtype=dtype), seed=3)
+    path = dataio.save_checkpoint(model, tmp_path / "m.ckpt")
+    header_line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    little = np.dtype(dtype).newbyteorder("<")
+    assert payload == b"".join(p.value.data.astype(little).tobytes() for p in model.params.values())
+    assert header["params"] == [[name, list(p.value.shape)] for name, p in model.params.items()]
+    assert header["payload_bytes"] == len(payload) == model.param_count() * little.itemsize
+    assert header["crc32"] == zlib.crc32(payload)
+
+
+@pytest.mark.parametrize("resize", ["one element short", "8 bytes too long", "8 bytes in all"])
+def test_checkpoint_payload_that_disagrees_with_its_table_exits_3(tmp_path, capsys, resize):
+    """The header's byte count and CRC are rewritten to fit the new payload,
+    so only the parameter table can tell that it is the wrong length."""
+    ckpt = tmp_path / "m.ckpt"
+    dataio.save_checkpoint(GaitPTModel(tiny_config(sequence_length=2), seed=0), ckpt)
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    resized = {"one element short": payload[:-4], "8 bytes too long": payload + bytes(8),
+               "8 bytes in all": payload[:8]}[resize]
+    header = json.loads(header_line)
+    header["payload_bytes"], header["crc32"] = len(resized), zlib.crc32(resized)
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + resized)
+    with pytest.raises(IntegrityError, match=f"payload is {len(resized)} bytes, the parameter table "
+                                             f"needs {len(payload)}"):
+        dataio.load_checkpoint(ckpt)
+    records = tmp_path / "r.jsonl"
+    records.write_text(_record_line())
+    argv = ["embed", "--data", str(records), "--ckpt", str(ckpt), "--out", str(tmp_path / "e.jsonl")]
+    assert main(argv) == 3
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_checkpoint_header_echoes_config(tmp_path):
@@ -696,13 +755,22 @@ def test_manifest_generator_must_be_an_object_or_null(tmp_path, generator):
         dataio.load_manifest(path)
 
 
+@pytest.mark.parametrize("generator", [
+    {"noise_level": np.float32(0.004)}, {"views": {0, 90}}, {1: "a", "b": 2},
+], ids=["numpy-scalar", "set", "mixed-type-keys"])
+def test_manifest_generator_must_be_json_encodable(generator):
+    with pytest.raises(DataFormatError, match="^manifest field 'generator' must hold only JSON values"):
+        dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator=generator)
+
+
 def test_failed_manifest_write_leaves_the_old_file_unchanged(tmp_path):
     path = dataio.write_manifest(
         dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator={"frames": 8}),
         tmp_path / "manifest.json")
     before = path.read_bytes()
-    unserializable = dataio.Manifest(dataset_name="d", seed=1, files={}, splits={},
-                                     generator={"noise_level": object()})
+    # Manifest refuses such a generator, but its dict can still be changed after construction
+    unserializable = dataio.Manifest(dataset_name="d", seed=1, files={}, splits={}, generator={})
+    unserializable.generator["noise_level"] = object()
     with pytest.raises(TypeError):
         dataio.write_manifest(unserializable, path)
     assert path.read_bytes() == before

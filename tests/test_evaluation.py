@@ -169,6 +169,14 @@ def test_embed_sequence_set_dedupes_default_keys():
     assert embset.keys == ("s0-NM-v000-01", "s0-NM-v000-01#1", "s0-NM-v000-01#2")
 
 
+def test_embed_sequence_set_renames_a_repeat_to_a_free_key():
+    frames = random_windows(5, 20)
+    keys = ["k", "k#2", "k", "k", "j"]
+    seqs = [GaitSequence("s0", Condition.NM, 0, 1, f, key=key) for f, key in zip(frames, keys)]
+    embset = embed_sequence_set(GaitPTModel(tiny_config(), seed=0), seqs)
+    assert embset.keys == ("k", "k#2", "k#3", "k#4", "j")
+
+
 def test_embed_sequence_set_rejects_an_empty_list():
     with pytest.raises(InputError, match="no sequences"):
         embed_sequence_set(GaitPTModel(tiny_config(), seed=0), [])
