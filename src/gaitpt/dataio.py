@@ -5,14 +5,18 @@ Records store 17 joints (the pose-estimator-native count); the duplicated
 nose and width normalization are applied at load. Checkpoints are a JSON
 header line and the flat parameter vector (little-endian, in the order of
 its [name, shape] table); the length must fit the table, the CRC32 the bytes.
+Saving writes the model's parameter buffer, and loading reads the payload
+into the buffer of a model built without its random init.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,6 @@ import numpy as np
 from .errors import INT64, ConfigError, DataFormatError, IntegrityError, checked_int, checked_real
 from .evaluation import EmbeddingSet
 from .model import GaitPTConfig, GaitPTModel
-from .numcore import Tensor
 from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
 from .training import TrainConfig
 
@@ -223,6 +226,7 @@ class Manifest:
 
 def write_manifest(manifest: Manifest, path) -> Path:
     path = Path(path)
+    manifest = replace(manifest)  # its dicts may have changed since it was built: check them again
     obj = {k: getattr(manifest, k) for k in _MANIFEST_KEYS}
     if manifest.generator is not None:
         obj["generator"] = manifest.generator
@@ -277,7 +281,7 @@ def load_split_sequences(manifest_path) -> dict[str, list[GaitSequence]]:
 
 def save_checkpoint(model: GaitPTModel, path) -> Path:
     path = Path(path)
-    # a view, not a copy, on a little-endian host: saving holds the parameters twice, not three times
+    # the model's buffer itself on a little-endian host (a byte-swapped copy on a big-endian one)
     payload = model.flat_parameters().data.astype(model.config.np_dtype.newbyteorder("<"), copy=False)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -295,51 +299,52 @@ def save_checkpoint(model: GaitPTModel, path) -> Path:
 
 def _param_table(model: GaitPTModel) -> list:
     """The header's [[name, shape], ...] table, in flat-vector order."""
-    return [[name, list(p.value.shape)] for name, p in model.params.items()]
+    return [[name, list(shape)] for name, _, shape in model.layout]
 
 
 def load_checkpoint(path) -> GaitPTModel:
     """Rebuild a model bitwise from a checkpoint file.
 
-    Rejects version mismatches, truncated or corrupted payloads, malformed
-    headers, and a `params` table (compared as JSON text, so `2.0` for `2`
-    fails) or payload length that differs from the config's flat vector.
+    The payload is read straight into the parameter buffer of a model built
+    with no random init, so a load holds one copy of it. Rejects version
+    mismatches, malformed headers, a payload whose length differs from the
+    header's count, a `params` table (compared as JSON text, so `2.0` for
+    `2` fails) or payload length that differs from the config's flat
+    vector, and a CRC mismatch.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    header = _json_value(header_line, DataFormatError, f"{path}: unreadable checkpoint header")
-    if not isinstance(header, dict):
-        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise IntegrityError(f"{path}: format version {version} != supported {CHECKPOINT_VERSION}")
-    for field_name in ("payload_bytes", "crc32", "params"):
-        if field_name not in header:
-            raise DataFormatError(f"{path}: checkpoint header has no {field_name!r} field")
-    if len(payload) != header["payload_bytes"]:
-        raise IntegrityError(
-            f"{path}: payload is {len(payload)} bytes, header promises {header['payload_bytes']}"
-        )
-    if zlib.crc32(payload) != header["crc32"]:
+        header = _json_value(fh.readline(), DataFormatError, f"{path}: unreadable checkpoint header")
+        if not isinstance(header, dict):
+            raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
+        version = header.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise IntegrityError(f"{path}: format version {version} != supported {CHECKPOINT_VERSION}")
+        for field_name in ("payload_bytes", "crc32", "params"):
+            if field_name not in header:
+                raise DataFormatError(f"{path}: checkpoint header has no {field_name!r} field")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != header["payload_bytes"]:
+            raise IntegrityError(f"{path}: payload is {size} bytes, header promises {header['payload_bytes']}")
+
+        try:
+            config = GaitPTConfig(**header["model_config"])
+        except (KeyError, TypeError, ConfigError) as e:
+            raise DataFormatError(f"{path}: invalid model config in header: {e}") from e
+        model = GaitPTModel._unfilled(config)
+        if json.dumps(header["params"]) != json.dumps(_param_table(model)):
+            raise IntegrityError(f"{path}: 'params' is not a list of [name, shape] pairs of its config")
+        flat = model.flat_parameters().data
+        if size != flat.nbytes:
+            raise IntegrityError(f"{path}: payload is {size} bytes, the parameter table needs {flat.nbytes}")
+        got = fh.readinto(memoryview(flat).cast("B"))
+        if got != flat.nbytes or fh.read(1):  # the file changed after the size check
+            raise IntegrityError(f"{path}: payload changed while read: {got} bytes read of {flat.nbytes}, "
+                                 f"{'and more' if got == flat.nbytes else 'then the end'}")
+    if zlib.crc32(flat) != header["crc32"]:
         raise IntegrityError(f"{path}: payload CRC mismatch, file is corrupted")
-
-    try:
-        config = GaitPTConfig(**header["model_config"])
-    except (KeyError, TypeError, ConfigError) as e:
-        raise DataFormatError(f"{path}: invalid model config in header: {e}") from e
-
-    model = GaitPTModel(config, seed=0)
-    if json.dumps(header["params"]) != json.dumps(_param_table(model)):
-        raise IntegrityError(f"{path}: 'params' is not a list of [name, shape] pairs of its config")
-    dtype = config.np_dtype.newbyteorder("<")
-    needed = model.param_count() * dtype.itemsize
-    if len(payload) != needed:
-        raise IntegrityError(f"{path}: payload is {len(payload)} bytes, the parameter table needs {needed}")
-    flat = np.frombuffer(payload, dtype=dtype).astype(config.np_dtype, copy=False)
-    for name, value in model.params_from_flat(Tensor(flat)).items():
-        model.params[name].value.data[...] = value.data
+    if sys.byteorder == "big":  # the payload is little-endian
+        flat.byteswap(inplace=True)
     return model
 
 

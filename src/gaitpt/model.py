@@ -17,6 +17,7 @@ so the token path still reaches the body level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -175,77 +176,101 @@ def _l2_normalize(x: Tensor) -> Tensor:
 class GaitPTModel:
     """Parameters and forward pass of the pyramid.
 
-    Parameters live in an insertion-ordered name -> Parameter dict; the order
-    is the checkpoint payload order. A built model is immutable during
-    inference, so concurrent embedding calls are safe; training mutates
-    parameter values and must be single-writer.
+    Parameters live in one contiguous buffer in the config's dtype, and each
+    `Parameter.value.data` is a reshaped view into it. The buffer holds them
+    in the order of the name -> Parameter dict, which is the checkpoint
+    payload order; `layout` gives each one's (name, span, shape). Updates
+    write into the views and never rebind them. A built model is immutable
+    during inference, so concurrent embedding calls are safe; training
+    mutates parameter values and must be single-writer.
     """
 
     def __init__(self, config: GaitPTConfig, seed: int = 0):
-        self.config = config
-        self.merge_plans = tuple(merge_plan(s, config.scheme) for s in (1, 2, 3))
-        self.params: dict[str, Parameter] = {}
-        self.class_layout: list[tuple[int, str, int]] = []
-        self._build(np.random.default_rng(seed))
+        fills = self._lay_out(config)
+        rng = np.random.default_rng(seed)
+        for p, fill in zip(self.params.values(), fills):
+            p.value.data[...] = rng.normal(0.0, 0.02, size=p.shape) if fill is None else fill
+
+    @classmethod
+    def _unfilled(cls, config: GaitPTConfig) -> "GaitPTModel":
+        """The model over an uninitialised buffer, for a checkpoint to be read
+        into; it draws no random number."""
+        model = cls.__new__(cls)
+        model._lay_out(config)
+        return model
 
     # -- construction -------------------------------------------------------
 
-    def _add(self, name: str, array: np.ndarray) -> None:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name}")
-        self.params[name] = Parameter(name, Tensor(array.astype(self.config.np_dtype)))
+    def _lay_out(self, config: GaitPTConfig) -> list[float | None]:
+        """Make the buffer and the parameters as views into it; returns each
+        parameter's initial value, None for a N(0, 0.02) draw."""
+        self.config = config
+        self.merge_plans = tuple(merge_plan(s, config.scheme) for s in (1, 2, 3))
+        self.class_layout: list[tuple[int, str, int]] = []
+        table = self._table()
+        self._flat = np.empty(sum(math.prod(shape) for _, shape, _ in table), config.np_dtype)
+        self.params: dict[str, Parameter] = {}
+        self.layout: list[tuple[str, slice, tuple[int, ...]]] = []
+        start = 0
+        for name, shape, _ in table:
+            if name in self.params:
+                raise ConfigError(f"duplicate parameter name {name}")
+            span = slice(start, start + math.prod(shape))
+            self.params[name] = Parameter(name, Tensor(self._flat[span].reshape(shape)))
+            self.layout.append((name, span, shape))
+            start = span.stop
+        return [fill for _, _, fill in table]
 
-    def _build(self, rng: np.random.Generator) -> None:
+    def _table(self) -> list[tuple[str, tuple[int, ...], float | None]]:
+        """(name, shape, initial value) per parameter, in buffer order."""
         cfg = self.config
         dims = cfg.dims
         counts = token_counts(cfg.scheme)
+        table = []
 
-        def w(*shape):
-            return rng.normal(0.0, 0.02, size=shape)
+        def add(name, *shape, fill=None):
+            table.append((name, shape, fill))
 
-        self._add("input_proj.w", w(INPUT_CHANNELS, dims[0]))
-        self._add("input_proj.b", np.zeros(dims[0]))
+        add("input_proj.w", INPUT_CHANNELS, dims[0])
+        add("input_proj.b", dims[0], fill=0.0)
 
         for s in (1, 2, 3):
             for gi, group in enumerate(self.merge_plans[s - 1]):
-                self._add(f"merge{s}.g{gi}.w", w(len(group) * dims[s - 1], dims[s]))
-                self._add(f"merge{s}.g{gi}.b", np.zeros(dims[s]))
+                add(f"merge{s}.g{gi}.w", len(group) * dims[s - 1], dims[s])
+                add(f"merge{s}.g{gi}.b", dims[s], fill=0.0)
 
         for stage in cfg.stages:
             for kind in stage.encoders:
                 seq_len = counts[stage.index - 1] if kind == "spatial" else cfg.sequence_length
-                self._add_encoder(stage, kind, seq_len, rng)
+                self._encoder_table(stage, kind, seq_len, add)
                 self.class_layout.append((stage.index, kind, stage.dim))
 
         concat_width = sum(width for _, _, width in self.class_layout)
-        self._add("head.w", w(concat_width, cfg.output_dim))
-        self._add("head.b", np.zeros(cfg.output_dim))
+        add("head.w", concat_width, cfg.output_dim)
+        add("head.b", cfg.output_dim, fill=0.0)
+        return table
 
-    def _add_encoder(self, stage: StageConfig, kind: str, seq_len: int,
-                     rng: np.random.Generator) -> None:
+    def _encoder_table(self, stage: StageConfig, kind: str, seq_len: int, add) -> None:
         c = stage.dim
         hidden = FFN_MULTIPLIER * c
         base = f"stage{stage.index}.{kind}"
 
-        def w(*shape):
-            return rng.normal(0.0, 0.02, size=shape)
-
-        self._add(f"{base}.cls", w(c))
-        self._add(f"{base}.pos", w(seq_len + 1, c))
+        add(f"{base}.cls", c)
+        add(f"{base}.pos", seq_len + 1, c)
         for i in range(stage.blocks):
             blk = f"{base}.block{i}"
-            self._add(f"{blk}.ln1.g", np.ones(c))
-            self._add(f"{blk}.ln1.b", np.zeros(c))
+            add(f"{blk}.ln1.g", c, fill=1.0)
+            add(f"{blk}.ln1.b", c, fill=0.0)
             for proj in ("wq", "wk", "wv", "wo"):
-                self._add(f"{blk}.attn.{proj}", w(c, c))
+                add(f"{blk}.attn.{proj}", c, c)
             for bias in ("bq", "bk", "bv", "bo"):
-                self._add(f"{blk}.attn.{bias}", np.zeros(c))
-            self._add(f"{blk}.ln2.g", np.ones(c))
-            self._add(f"{blk}.ln2.b", np.zeros(c))
-            self._add(f"{blk}.ffn.w1", w(c, hidden))
-            self._add(f"{blk}.ffn.b1", np.zeros(hidden))
-            self._add(f"{blk}.ffn.w2", w(hidden, c))
-            self._add(f"{blk}.ffn.b2", np.zeros(c))
+                add(f"{blk}.attn.{bias}", c, fill=0.0)
+            add(f"{blk}.ln2.g", c, fill=1.0)
+            add(f"{blk}.ln2.b", c, fill=0.0)
+            add(f"{blk}.ffn.w1", c, hidden)
+            add(f"{blk}.ffn.b1", hidden, fill=0.0)
+            add(f"{blk}.ffn.w2", hidden, c)
+            add(f"{blk}.ffn.b2", c, fill=0.0)
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -253,28 +278,22 @@ class GaitPTModel:
         return {name: p.value for name, p in self.params.items()}
 
     def param_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
+        return self._flat.size
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.value.zero_grad()
 
     def flat_parameters(self) -> Tensor:
-        """All parameter values concatenated into one vector (copy)."""
-        return Tensor(
-            np.concatenate([p.value.data.reshape(-1) for p in self.params.values()])
-        )
+        """The parameter buffer as one vector: a view, so writing into it
+        writes the parameters (`grad_check` perturbs a copy)."""
+        return Tensor(self._flat)
 
     def params_from_flat(self, flat: Tensor) -> dict[str, Tensor]:
         """Differentiable view of a flat vector as the named parameter dict."""
         if flat.size != self.param_count():
             raise ShapeError(f"flat vector has {flat.size} entries, model has {self.param_count()}")
-        out, offset = {}, 0
-        for name, p in self.params.items():
-            size = p.value.size
-            out[name] = nc.reshape(flat[offset : offset + size], p.value.shape)
-            offset += size
-        return out
+        return {name: nc.reshape(flat[span], shape) for name, span, shape in self.layout}
 
     # -- forward pieces -------------------------------------------------------
 

@@ -138,9 +138,10 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]]:
+def batch_hard_mine(embeddings: np.ndarray, labels) -> tuple[list[tuple[int, int, int]], np.ndarray]:
     """Per anchor: hardest positive (max distance, same label, not itself)
-    and hardest negative (min distance, different label).
+    and hardest negative (min distance, different label); returned with the
+    float64 `pairwise_distances` matrix they were mined from.
 
     Ties break toward the lowest index. Every label must occur at least
     twice and at least two labels must be present.
@@ -161,7 +162,7 @@ def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]
     pos = np.where(same, d, -np.inf)
     np.fill_diagonal(pos, -np.inf)
     neg = np.where(same, np.inf, d)
-    return list(zip(range(len(d)), np.argmax(pos, axis=1).tolist(), np.argmin(neg, axis=1).tolist()))
+    return list(zip(range(len(d)), np.argmax(pos, axis=1).tolist(), np.argmin(neg, axis=1).tolist())), d
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,7 @@ def _train_step(
         parts.append(emb.data)
     embeddings = np.concatenate(parts, axis=0)
 
-    triplets = batch_hard_mine(embeddings, labels)
+    triplets, d = batch_hard_mine(embeddings, labels)
     a_idx, p_idx, n_idx = (list(t) for t in zip(*triplets))
 
     emb_leaf = Tensor(embeddings.astype(np.float64), requires_grad=True)
@@ -361,6 +362,5 @@ def _train_step(
         if not np.isfinite(p.value.data).all():
             raise NumericError(f"{where}: parameter {name} is not finite after the update at lr {lr:g}")
 
-    d = pairwise_distances(embeddings.astype(np.float64))
     margins = d[a_idx, p_idx] - d[a_idx, n_idx] + cfg.margin
     return float(loss.item()), float(np.mean(margins > 0))

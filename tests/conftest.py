@@ -43,3 +43,16 @@ def tiny_splits(identities=6, sequences_per_identity=4, frames=40, views=(0, 90)
 def random_windows(batch, frames, rng=None, dtype=np.float64):
     rng = rng or np.random.default_rng(0)
     return rng.uniform(0.0, 1.0, size=(batch, frames, 18, 2)).astype(dtype)
+
+
+def assert_parameters_tile_the_flat_buffer(model):
+    """Every parameter is a view into `model.flat_parameters()`, in table
+    order, and together they cover it."""
+    flat = model.flat_parameters().data
+    start = 0
+    for p in model.params.values():
+        data = p.value.data
+        assert data.dtype == flat.dtype and np.shares_memory(data, flat), p.name
+        assert data.ctypes.data == flat.ctypes.data + start * flat.itemsize, p.name
+        start += data.size
+    assert start == flat.size

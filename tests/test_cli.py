@@ -3,14 +3,19 @@ synth -> train -> embed -> eval pipeline."""
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaitpt
 from gaitpt import dataio
 from gaitpt.cli import main
 from gaitpt.evaluation import CASIA_VIEWS
-from gaitpt.model import GaitPTModel
+from gaitpt.model import GaitPTConfig, GaitPTModel
 from gaitpt.skeleton import Condition
 from gaitpt.synthgait import generate_sequence, sample_identity
 
@@ -346,3 +351,27 @@ def test_partition_study_smoke(workdir, capsys):
 def test_gradcheck_with_a_meaningless_tolerance_exits_2(capsys, tol):
     assert main(["gradcheck", f"--tol={tol}", "--seed", "0"]) == 2
     assert "tol must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc thresholds")
+def test_embedding_after_a_checkpoint_load_reuses_freed_memory(tmp_path):
+    """In a fresh process that loads the default model, as `gaitpt embed`
+    does, a second embedding pass faults in no new pages: its temporaries
+    reuse the heap the first pass freed."""
+    ckpt = dataio.save_checkpoint(GaitPTModel(GaitPTConfig(), seed=0), tmp_path / "m.ckpt")
+    code = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from gaitpt import cli, dataio\n"
+        "cli._keep_freed_memory_for_reuse()  # what main() does first\n"
+        "model = dataio.load_checkpoint(sys.argv[1])\n"
+        "windows = np.random.default_rng(0).uniform(size=(16, 30, 18, 2)).astype(np.float32)\n"
+        "model.embed_arrays(windows)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "model.embed_arrays(windows)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gaitpt.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code, str(ckpt)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 1000

@@ -2,13 +2,15 @@
 validation, bit-exact checkpoints with integrity checks, and run configs."""
 
 import json
+import os
+import tracemalloc
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_windows, tiny_config
+from conftest import assert_parameters_tile_the_flat_buffer, random_windows, tiny_config
 
 from gaitpt import dataio
 from gaitpt.cli import main
@@ -560,6 +562,44 @@ def test_checkpoint_roundtrip_float64(tmp_path):
         assert loaded.params[name].value.dtype == np.float64
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_loaded_parameters_are_views_into_one_buffer(tmp_path, dtype):
+    path = dataio.save_checkpoint(GaitPTModel(tiny_config(dtype=dtype), seed=9), tmp_path / "m.ckpt")
+    assert_parameters_tile_the_flat_buffer(dataio.load_checkpoint(path))
+
+
+def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
+    """The default float32 model's payload is read into the model's buffer:
+    the traced peak of a load stays below 1.25x the payload."""
+    path = dataio.save_checkpoint(GaitPTModel(GaitPTConfig(), seed=0), tmp_path / "m.ckpt")
+    payload = path.stat().st_size - len(path.read_bytes().partition(b"\n")[0]) - 1
+    tracemalloc.start()
+    try:
+        model = dataio.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload == model.param_count() * 4
+    assert peak < 1.25 * payload, f"peak {peak / payload:.2f}x the payload"
+
+
+def test_checkpoint_with_a_payload_that_changes_while_read_is_refused(tmp_path, monkeypatch):
+    """A payload that grows or shrinks after the size check is caught by the
+    read itself, naming the byte counts."""
+    path = dataio.save_checkpoint(GaitPTModel(tiny_config(sequence_length=2), seed=0), tmp_path / "m.ckpt")
+    blob = path.read_bytes()
+    size = len(blob) - len(blob.partition(b"\n")[0]) - 1
+    real_fstat = dataio.os.fstat
+    for change, expected in ((blob + b"x", f"{size} bytes read of {size}, and more"),
+                             (blob[:-3], f"{size - 3} bytes read of {size}, then the end")):
+        path.write_bytes(change)
+        monkeypatch.setattr(dataio.os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], len(blob), *real_fstat(fd)[7:])))
+        with pytest.raises(IntegrityError, match=f"payload changed while read: {expected}"):
+            dataio.load_checkpoint(path)
+        monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
@@ -768,9 +808,19 @@ def test_failed_manifest_write_leaves_the_old_file_unchanged(tmp_path):
         dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator={"frames": 8}),
         tmp_path / "manifest.json")
     before = path.read_bytes()
-    # Manifest refuses such a generator, but its dict can still be changed after construction
-    unserializable = dataio.Manifest(dataset_name="d", seed=1, files={}, splits={}, generator={})
-    unserializable.generator["noise_level"] = object()
+    # Manifest does not check the type of split names, so mixed-type ones fail json.dumps's sort
+    unserializable = dataio.Manifest(dataset_name="d", seed=1, files={}, splits={"train": [], 0: []})
     with pytest.raises(TypeError):
         dataio.write_manifest(unserializable, path)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("field, value", [
+    ("generator", {"noise_level": np.float32(0.004)}), ("files", {"train": 5}), ("splits", {"train": [1]}),
+])
+def test_manifest_changed_after_construction_is_refused_at_write(tmp_path, field, value):
+    manifest = dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator={})
+    getattr(manifest, field).update(value)
+    with pytest.raises(DataFormatError, match=f"^manifest field '{field}' must"):
+        dataio.write_manifest(manifest, tmp_path / "manifest.json")
+    assert not (tmp_path / "manifest.json").exists()

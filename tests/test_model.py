@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_windows, tiny_config
+from conftest import assert_parameters_tile_the_flat_buffer, random_windows, tiny_config
 
 from gaitpt import numcore as nc
 from gaitpt.errors import ConfigError, InputError, ShapeError
@@ -317,6 +317,32 @@ def test_flat_parameter_gradcheck():
     report = nc.grad_check(f, model.flat_parameters(), tol=1e-5,
                            sample=48, rng=np.random.default_rng(0))
     assert report.passed, f"max_rel_err={report.max_rel_err:.3e}"
+
+
+def test_flat_parameters_through_grad_check_leave_the_parameters_unchanged():
+    """`flat_parameters()` is a view of the parameter buffer; `grad_check`
+    perturbs a copy of it, as `gaitpt gradcheck` does."""
+    model = GaitPTModel(tiny_config(sequence_length=4, dtype="float64"), seed=3)
+    before = {name: p.value.data.copy() for name, p in model.params.items()}
+    flat = model.flat_parameters()
+    x = random_windows(1, 4)
+
+    def f(theta):
+        return nc.tensor_sum(model.embed_batch(Tensor(x), params=model.params_from_flat(theta)))
+
+    nc.grad_check(f, flat, sample=8, rng=np.random.default_rng(0))
+    assert np.shares_memory(flat.data, model.params["head.w"].value.data)
+    for name, p in model.params.items():
+        assert p.value.data.tobytes() == before[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_built_parameters_are_views_into_one_buffer(dtype):
+    model = tiny_model(dtype=dtype)
+    assert_parameters_tile_the_flat_buffer(model)
+    assert model.param_count() == model.flat_parameters().size
+    assert [(name, shape) for name, _, shape in model.layout] == [
+        (name, p.shape) for name, p in model.params.items()]
 
 
 def test_config_normalises_its_fields_and_derives_stages():

@@ -392,6 +392,25 @@ def test_backward_is_deterministic():
     assert np.array_equal(run(), run())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("indices", [[2, 0, 3], [-1, 0], [[1, 3], [0, 2]], [1, 1, 3], [3, -1]])
+def test_index_select_vjp_is_bitwise_np_add_at(dtype, indices):
+    """Unique indices assign the cotangent, repeated ones accumulate it; either
+    way the gradient is bitwise the np.add.at one, +0.0 where the cotangent holds -0.0."""
+    rng = np.random.default_rng(0)
+    leaf = Tensor(rng.normal(size=(2, 4, 3)).astype(dtype), requires_grad=True)
+    with GradTape():
+        out = nc.index_select(leaf, 1, indices)
+    g = rng.normal(size=out.shape).astype(dtype)
+    g.reshape(-1)[::3] = -0.0
+    nc.backward_from(out, g)
+    expected = np.zeros(leaf.shape, dtype)
+    np.add.at(expected, (slice(None), np.asarray(indices)), g)
+    assert leaf.grad.data.dtype == dtype
+    assert leaf.grad.data.tobytes() == expected.tobytes()
+    assert not np.signbit(leaf.grad.data[leaf.grad.data == 0]).any()
+
+
 # ---------------------------------------------------------------------------
 # finite-difference fidelity for every differentiable primitive
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fast_train_config, tiny_config, tiny_splits
+from conftest import assert_parameters_tile_the_flat_buffer, fast_train_config, tiny_config, tiny_splits
 
 from gaitpt import numcore as nc
 from gaitpt.dataio import config_from_dict
@@ -103,13 +103,13 @@ def brute_force_mine(embeddings, labels):
 def test_mining_two_identities_matches_exhaustive_search():
     emb = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0], [4.5, 0.0]])
     labels = ["a", "a", "b", "b"]
-    assert batch_hard_mine(emb, labels) == brute_force_mine(emb, labels)
+    assert batch_hard_mine(emb, labels)[0] == brute_force_mine(emb, labels)
 
 
 def test_mining_identical_embeddings_yields_valid_triplets():
     emb = np.zeros((4, 3))
     labels = ["a", "a", "b", "b"]
-    for a, p, n in batch_hard_mine(emb, labels):
+    for a, p, n in batch_hard_mine(emb, labels)[0]:
         assert labels[a] == labels[p] and a != p
         assert labels[a] != labels[n]
         assert triplet_loss(emb[a], emb[p], emb[n], margin=0.02).item() == 0.02
@@ -122,7 +122,7 @@ def test_mining_matches_brute_force_on_random_batches():
         counts = rng.integers(2, 5, size=n_labels)
         labels = [f"id{i}" for i, c in enumerate(counts) for _ in range(c)]
         emb = rng.normal(size=(len(labels), rng.integers(2, 6)))
-        assert batch_hard_mine(emb, labels) == brute_force_mine(emb, labels)
+        assert batch_hard_mine(emb, labels)[0] == brute_force_mine(emb, labels)
 
 
 def test_mining_hardest_negative_property():
@@ -130,9 +130,19 @@ def test_mining_hardest_negative_property():
     emb = rng.normal(size=(12, 4))
     labels = ["a", "a", "a", "b", "b", "b", "c", "c", "c", "d", "d", "d"]
     d = pairwise_distances(emb)
-    for a, _, n in batch_hard_mine(emb, labels):
+    for a, _, n in batch_hard_mine(emb, labels)[0]:
         others = [d[a, j] for j in range(12) if labels[j] != labels[a]]
         assert d[a, n] <= min(others) + 1e-12
+
+
+def test_mining_returns_the_distance_matrix_it_mined():
+    rng = np.random.default_rng(3)
+    emb = rng.normal(size=(8, 5)).astype(np.float32)
+    labels = ["a", "a", "b", "b", "c", "c", "d", "d"]
+    triplets, d = batch_hard_mine(emb, labels)
+    assert d.dtype == np.float64
+    assert d.tobytes() == pairwise_distances(emb.astype(np.float64)).tobytes()
+    assert triplets == brute_force_mine(emb, labels)
 
 
 def test_mining_preconditions_name_the_offender():
@@ -289,6 +299,16 @@ def test_train_is_bitwise_reproducible():
     log2, params2 = run()
     assert log1 == log2
     assert all(np.array_equal(params1[k], params2[k]) for k in params1)
+
+
+def test_training_updates_the_parameters_in_their_buffer():
+    splits = tiny_splits(identities=4, sequences_per_identity=4, frames=30, views=(90,), seed=6)
+    model = GaitPTModel(tiny_config(), seed=1)
+    before = model.flat_parameters().data.copy()
+    train(model, splits["train"] + splits["probe"], fast_train_config(epochs=1, steps_per_epoch=1),
+          log_stream=io.StringIO())
+    assert not np.array_equal(model.flat_parameters().data, before)
+    assert_parameters_tile_the_flat_buffer(model)
 
 
 def test_train_stops_at_a_non_finite_loss():

@@ -10,6 +10,7 @@ process with one BLAS thread, and one sha256 prefix is printed per output:
     train-default   parameters after one training op of the default model
     embed-float32   embeddings of 17 fixed windows by a default model that
     embed-float64   went through a checkpoint, in each dtype
+    checkpoint      the bytes of those two checkpoint files (default config, seed 1)
     gradcheck       every `gaitpt gradcheck` report, errors at full precision
     synth           the files of a `gaitpt synth --seed 1` directory
 
@@ -114,6 +115,7 @@ def tree_digests(tree: str) -> dict[str, str]:
                 p=8, k=4, micro_batch=8),
             "embed-float32": _embed_through_checkpoint("float32", workdir),
             "embed-float64": _embed_through_checkpoint("float64", workdir),
+            "checkpoint": _digest((workdir / f"{dtype}.ckpt").read_bytes() for dtype in ("float32", "float64")),
             "gradcheck": _gradcheck(),
             "synth": _synth(workdir),
         }
