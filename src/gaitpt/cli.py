@@ -111,7 +111,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _keep_freed_memory_for_reuse() -> None:
+    """Pin glibc's malloc thresholds where its own rule puts them once a
+    32 MB block is freed: blocks up to 32 MB come from the heap, which is
+    trimmed only past 64 MB free. A checkpoint load frees no large block, so
+    without this each multi-MB forward temporary is mapped and faulted in
+    afresh (about 215,000 page faults per 64-window pass). Only `embed` and
+    `eval`, which load a checkpoint and then embed, call it. Off Linux, or
+    without glibc's `mallopt`, nothing changes.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    if mallopt is not None:
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def cmd_embed(args) -> int:
+    _keep_freed_memory_for_reuse()
     model = dataio.load_checkpoint(args.ckpt)
     seqs = _read_nonempty(args.data)
     embset = evaluation.embed_sequence_set(model, seqs)
@@ -121,6 +137,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _keep_freed_memory_for_reuse()
     model = dataio.load_checkpoint(args.ckpt)
     if args.protocol == "casia":
         seqs = _read_nonempty(args.gallery)
@@ -329,22 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_memory_for_reuse() -> None:
-    """Pin glibc's malloc thresholds where its own rule puts them once a
-    32 MB block is freed: blocks up to 32 MB come from the heap, which is
-    trimmed only past 64 MB free. A checkpoint load frees no large block, so
-    without this each multi-MB forward temporary is mapped and faulted in
-    afresh (about 215,000 page faults per 64-window pass). Off Linux, or without
-    glibc's `mallopt`, nothing changes.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
-    if mallopt is not None:
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory_for_reuse()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -199,11 +199,11 @@ class Manifest:
     def __post_init__(self):
         for name, rule, ok in (  # a bad field raises DataFormatError naming it
             ("dataset_name", "a string", isinstance(self.dataset_name, str)),
-            ("files", "an object of file names",
-             isinstance(self.files, dict) and all(isinstance(f, str) for f in self.files.values())),
-            ("splits", "an object of key lists", isinstance(self.splits, dict) and all(
-                isinstance(keys, list) and all(isinstance(k, str) for k in keys)
-                for keys in self.splits.values())),
+            ("files", "an object of file names by split name", isinstance(self.files, dict) and all(
+                isinstance(split, str) and isinstance(f, str) for split, f in self.files.items())),
+            ("splits", "an object of key lists by split name", isinstance(self.splits, dict) and all(
+                isinstance(split, str) and isinstance(keys, list) and all(isinstance(k, str) for k in keys)
+                for split, keys in self.splits.items())),
             ("generator", "an object or null", self.generator is None or isinstance(self.generator, dict)),
         ):
             if not ok:

@@ -431,13 +431,13 @@ def index_select(a, axis: int, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(np.take(a.data, idx, axis=axis))
     shape = a.shape
-    unique = np.unique(idx % max(shape[axis], 1)).size == idx.size
 
     def vjp(g):
         full = np.zeros(shape, dtype=g.dtype)
         sel = [slice(None)] * len(shape)
         sel[axis] = idx
-        if unique:  # what np.add.at would store, 0.0 + g, which turns -0.0 into +0.0
+        if np.unique(idx % max(shape[axis], 1)).size == idx.size:
+            # what np.add.at would store, 0.0 + g, which turns -0.0 into +0.0
             full[tuple(sel)] = g + 0.0
         else:
             np.add.at(full, tuple(sel), g)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gaitpt
-from gaitpt import dataio
+from gaitpt import cli, dataio
 from gaitpt.cli import main
 from gaitpt.evaluation import CASIA_VIEWS
 from gaitpt.model import GaitPTConfig, GaitPTModel
@@ -363,7 +363,7 @@ def test_embedding_after_a_checkpoint_load_reuses_freed_memory(tmp_path):
         "import resource, sys\n"
         "import numpy as np\n"
         "from gaitpt import cli, dataio\n"
-        "cli._keep_freed_memory_for_reuse()  # what main() does first\n"
+        "cli._keep_freed_memory_for_reuse()  # what `gaitpt embed` does before its load\n"
         "model = dataio.load_checkpoint(sys.argv[1])\n"
         "windows = np.random.default_rng(0).uniform(size=(16, 30, 18, 2)).astype(np.float32)\n"
         "model.embed_arrays(windows)\n"
@@ -375,3 +375,16 @@ def test_embedding_after_a_checkpoint_load_reuses_freed_memory(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(ckpt)], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) < 1000
+
+
+def test_only_embed_and_eval_set_the_malloc_thresholds(workdir, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory_for_reuse", lambda: calls.append(1))
+    ckpt, gallery, probe = (str(workdir / f) for f in ("model.ckpt", "ds/gallery.jsonl", "ds/probe.jsonl"))
+    assert main(["synth", "--out", str(tmp_path / "ds"), "--identities", "3", "--seqs-per-id", "4",
+                 "--frames", "8", "--views", "0", "--seed", "1"]) == 0
+    assert calls == []
+    assert main(["embed", "--data", probe, "--ckpt", ckpt, "--out", str(tmp_path / "emb.jsonl")]) == 0
+    assert calls == [1]
+    assert main(["eval", "--gallery", gallery, "--probe", probe, "--ckpt", ckpt, "--protocol", "rankk"]) == 0
+    assert calls == [1, 1]

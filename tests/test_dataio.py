@@ -803,15 +803,30 @@ def test_manifest_generator_must_be_json_encodable(generator):
         dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator=generator)
 
 
-def test_failed_manifest_write_leaves_the_old_file_unchanged(tmp_path):
+@pytest.mark.parametrize("field, value", [
+    ("files", {"train": "t.jsonl", 0: "u.jsonl"}), ("splits", {"train": [], 0: []}),
+])
+def test_manifest_split_names_must_be_strings(field, value):
+    fields = {"files": {}, "splits": {}, field: value}
+    with pytest.raises(DataFormatError, match=f"^manifest field '{field}' must be an object of .* by split name"):
+        dataio.Manifest(dataset_name="d", seed=0, **fields)
+
+
+def test_failed_manifest_write_leaves_the_old_file_unchanged(tmp_path, monkeypatch):
     path = dataio.write_manifest(
         dataio.Manifest(dataset_name="d", seed=0, files={}, splits={}, generator={"frames": 8}),
         tmp_path / "manifest.json")
     before = path.read_bytes()
-    # Manifest does not check the type of split names, so mixed-type ones fail json.dumps's sort
-    unserializable = dataio.Manifest(dataset_name="d", seed=1, files={}, splits={"train": [], 0: []})
+    real_dumps = dataio.json.dumps
+
+    def dumps(obj, **kwargs):  # fails the manifest itself, after its field rules have passed
+        if isinstance(obj, dict) and "dataset_name" in obj:
+            raise TypeError("not serializable")
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(dataio.json, "dumps", dumps)
     with pytest.raises(TypeError):
-        dataio.write_manifest(unserializable, path)
+        dataio.write_manifest(dataio.Manifest(dataset_name="d", seed=1, files={}, splits={}), path)
     assert path.read_bytes() == before
 
 
