@@ -21,9 +21,15 @@ input this tape produced, the `Tensor` itself for a leaf (a parameter or an
 output of another tape), or None for an input that needs no gradient.
 Intermediate tensors are therefore freed as soon as the forward pass drops
 them; a VJP closure holds shapes plus the arrays it reads: an operand of
-`mul` or `matmul` only when the other input needs a gradient, both operands
-of `div`, softmax's output, sqrt's root, relu's mask, GELU's slope
-cdf + x pdf, and layer norm's normalized input, inverse deviation and gain.
+`mul`, `matmul` or `linear` (the input's 2-D view or the weight) only when
+the other needs a gradient, both operands of `div`, softmax's output, sqrt's
+root, relu's mask, GELU's slope cdf + x pdf, layer norm's normalized input,
+inverse deviation and gain, and the attention core's split q, kᵀ and v and
+its softmax output.
+
+`linear` and `attention_core` are single nodes that write each activation
+once; their outputs and gradients are bitwise those of the compositions of
+primitives they replace, which the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -320,15 +326,28 @@ def _horner(coeffs, x2: np.ndarray, acc: np.ndarray) -> None:
     acc += coeffs[0]
 
 
-def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x * Phi(x) and Phi(x) of float32 `x`, in blocks of `GELU_BLOCK`."""
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """d = cdf + x * pdf(x), in place in `d`, rounded in x's dtype."""
+    np.multiply(x, -0.5, out=d)
+    d *= x
+    np.exp(d, out=d)
+    d /= np.sqrt(np.asarray(2.0 * np.pi, dtype=x.dtype))
+    d *= x
+    d += cdf
+    return d
+
+
+def _gelu_f32(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """x * Phi(x) of float32 `x` and, if `slope`, GELU's slope Phi(x) + x pdf(x),
+    in blocks of `GELU_BLOCK`. Phi lives only in block scratch, so the result
+    arrays are the only full-size allocations."""
     flat = x.reshape(-1)
-    out, cdf = np.empty_like(flat), np.empty_like(flat)
-    scratch = np.empty((3, min(flat.size, GELU_BLOCK)), np.float32)
+    out = np.empty_like(flat)
+    d = np.empty_like(flat) if slope else None
+    scratch = np.empty((4, min(flat.size, GELU_BLOCK)), np.float32)
     for lo in range(0, flat.size, GELU_BLOCK):
         xb = flat[lo : lo + GELU_BLOCK]
-        c = cdf[lo : lo + xb.size]
-        x2, p, q = scratch[:, : xb.size]
+        c, x2, p, q = scratch[:, : xb.size]
         np.clip(xb, -_PHI_EDGE, _PHI_EDGE, out=c)  # c holds the clamped x until the divide
         np.multiply(c, c, out=x2)
         _horner(_PHI_P, x2, p)
@@ -338,7 +357,9 @@ def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c += 0.5
         np.clip(c, 0.0, 1.0, out=c)  # the rational overshoots [0, 1] by ~2e-7 at the edges
         np.multiply(xb, c, out=out[lo : lo + xb.size])
-    return out.reshape(x.shape), cdf.reshape(x.shape)
+        if slope:
+            _gelu_slope(xb, c, d[lo : lo + xb.size])
+    return out.reshape(x.shape), None if d is None else d.reshape(x.shape)
 
 
 def gelu(a) -> Tensor:
@@ -346,27 +367,22 @@ def gelu(a) -> Tensor:
 
     float64 takes Phi from `scipy.special.erf`; float32 from a clamped
     rational (see `_gelu_f32`) within 5e-7 * max(1, |x|) of the float64
-    value.
+    value. Untaped, GELU allocates only its output; taped, also its slope.
     """
     a = _as_tensor(a)
     x = a.data
+    taped = _recording(a) is not None
     if x.dtype == np.float32:
-        y, cdf = _gelu_f32(x)
+        y, d = _gelu_f32(x, taped)
     else:
         cdf = 0.5 * (1.0 + _erf(x / np.sqrt(np.asarray(2.0, dtype=x.dtype))))
         y = x * cdf
+        d = _gelu_slope(x, cdf, np.empty_like(x)) if taped else None
     out = Tensor(y)
-    if _recording(a) is None:
+    if not taped:
         return out
-    # The slope d = cdf + x * pdf, in place; the VJP keeps d alone, not x and cdf.
-    d = np.multiply(x, -0.5, out=np.empty_like(x))
-    d *= x
-    np.exp(d, out=d)
-    d /= np.sqrt(np.asarray(2.0 * np.pi, dtype=x.dtype))
-    d *= x
-    d += cdf
 
-    def vjp(g):  # g has x's dtype, so this rounds as g * d would
+    def vjp(g):  # the VJP keeps the slope d alone, not x and cdf; g has x's dtype
         return (np.multiply(d, g, out=d),)
 
     return _record(out, (a,), vjp)
@@ -508,16 +524,32 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Affine map x @ w + b over the last axis; w has shape (in, out)."""
+    """Affine map x @ w + b over the last axis; w has shape (in, out).
+
+    One node: one GEMM on x's 2-D view with the bias added in place. The
+    VJP's expressions are those of reshape, matmul and add, so outputs and
+    gradients are bitwise equal to that composition (tested).
+    """
     x = _as_tensor(x)
     w = _as_tensor(w)
-    if x.shape[-1] != w.shape[0]:
+    b = _as_tensor(b, w)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape} does not match weight {w.shape}")
-    flat = x if x.ndim == 2 else reshape(x, (-1, x.shape[-1]))
-    out = add(matmul(flat, w), b)
-    if x.ndim != 2:
-        out = reshape(out, x.shape[:-1] + (w.shape[1],))
-    return out
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + (w.shape[1],)))
+    sx, sb = x.shape, b.shape
+    xa = x2 if w.requires_grad else None  # as in `matmul`
+    wa = w.data if x.requires_grad else None
+
+    def vjp(g):
+        g = g.reshape(-1, g.shape[-1])
+        gx = None if wa is None else (g @ np.swapaxes(wa, -1, -2)).reshape(sx)
+        gw = None if xa is None else np.swapaxes(xa, -1, -2) @ g
+        return gx, gw, _unbroadcast(g, sb)
+
+    return _record(out, (x, w, b), vjp)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -548,11 +580,13 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"got {gain.shape} and {bias.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xn = x.data - mu
+    var = (xn * xn).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xn = xc * inv
-    out = Tensor(xn * gain.data + bias.data)
+    xn *= inv  # the centred input, normalized in place
+    y = xn * gain.data
+    y += bias.data
+    out = Tensor(y)
     n = x.shape[-1]
     w = gain.data
 
@@ -568,6 +602,82 @@ def layer_norm(x, gain, bias) -> Tensor:
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), vjp)
+
+
+def _row_max_min(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max and min over the last axis of `x`, by a loop over columns.
+
+    They equal x.max(axis=-1) and x.min(axis=-1), except that a zero may
+    differ in sign. Attention rows are tokens + 1 wide, 3 to 31 here, where
+    the loop is 3-20x faster than numpy's reduction; at about 128 wide it
+    is 3x slower.
+    """
+    top, low = x[..., 0].copy(), x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+        np.minimum(low, x[..., j], out=low)
+    return top, low
+
+
+def _softmax_last_axis_(s: np.ndarray) -> None:
+    """`softmax` over the last axis of `s`, in place and bitwise equal.
+
+    NaN propagates into both the row max and the row min, +inf shows in the
+    max and -inf in the min, so the check reads no full-size array. A zero
+    row max of the other sign changes s - max only where s is a zero, and
+    exp gives 1 there either way.
+    """
+    top, low = _row_max_min(s)
+    if not (np.isfinite(top).all() and np.isfinite(low).all()):
+        raise NumericError("softmax input contains non-finite values")
+    s -= top[..., None]
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+
+
+def attention_core(q, k, v, heads: int) -> Tensor:
+    """Scaled dot-product attention over `heads` heads of projected tokens.
+
+    q, k, v: (batch, t, C) with C divisible by `heads`; returns the (batch,
+    t, C) merge of softmax(q_h k_hᵀ / sqrt(C / heads)) v_h. One node that
+    splits the heads into contiguous copies (kᵀ too), scales and soft-maxes
+    the score buffer in place, and merges the heads back. Its VJP repeats
+    the expressions of the head split, matmul, mul, `softmax` and merge it
+    replaces, in their order, so outputs and gradients are bitwise equal
+    to that composition (tested).
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention expects (batch, tokens, C), got {q.shape}, {k.shape}, {v.shape}")
+    b, t, c = q.shape
+    if heads < 1 or c % heads != 0:
+        raise ConfigError(f"model width {c} is not divisible by head count {heads}")
+    hd = c // heads
+
+    def split(x, axes):  # (b, t, C) -> a contiguous (b, t, h, hd) permutation
+        return np.ascontiguousarray(x.data.reshape(b, t, heads, hd).transpose(axes))
+
+    qh, kt, vh = split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1)), split(v, (0, 2, 1, 3))
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=q.dtype)
+    p = qh @ kt
+    p *= scale
+    _softmax_last_axis_(p)
+    ctx = p @ vh  # (b, h, t, hd)
+    out = Tensor(np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(b, t, c))
+
+    def vjp(g):
+        g = np.transpose(g.reshape(b, t, heads, hd), (0, 2, 1, 3))
+        gp = g @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ g
+        dot = (gp * p).sum(axis=-1, keepdims=True)
+        gs = p * (gp - dot) * scale
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gkt = np.swapaxes(qh, -1, -2) @ gs
+        return (np.transpose(gq, (0, 2, 1, 3)).reshape(b, t, c),
+                np.transpose(gkt, (0, 3, 1, 2)).reshape(b, t, c),
+                np.transpose(gv, (0, 2, 1, 3)).reshape(b, t, c))
+
+    return _record(out, (q, k, v), vjp)
 
 
 @dataclass
@@ -586,30 +696,13 @@ class AttentionWeights:
 
 
 def multi_head_attention(tokens, weights: AttentionWeights, heads: int) -> Tensor:
-    """Scaled dot-product attention over `heads` heads, concat + output proj.
-
-    tokens: (batch, t, C) with C divisible by `heads`. Differentiable
-    end-to-end because it is composed from recorded primitives.
-    """
+    """Multi-head self-attention: the q, k and v projections of `tokens`
+    (batch, t, C), `attention_core`, then the output projection."""
     tokens = _as_tensor(tokens)
-    if tokens.ndim != 3:
-        raise ShapeError(f"attention expects (batch, tokens, C), got {tokens.shape}")
-    b, t, c = tokens.shape
-    if heads < 1 or c % heads != 0:
-        raise ConfigError(f"model width {c} is not divisible by head count {heads}")
-    hd = c // heads
-
-    def split(x):  # (b, t, C) -> (b, h, t, hd)
-        return transpose(reshape(x, (b, t, heads, hd)), (0, 2, 1, 3))
-
-    q = split(linear(tokens, weights.wq, weights.bq))
-    k = split(linear(tokens, weights.wk, weights.bk))
-    v = split(linear(tokens, weights.wv, weights.bv))
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)  # (b, h, t, hd)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, t, c))
-    return linear(merged, weights.wo, weights.bo)
+    q = linear(tokens, weights.wq, weights.bq)
+    k = linear(tokens, weights.wk, weights.bk)
+    v = linear(tokens, weights.wv, weights.bv)
+    return linear(attention_core(q, k, v, heads), weights.wo, weights.bo)
 
 
 # ---------------------------------------------------------------------------

@@ -194,20 +194,45 @@ def test_float32_gelu_matches_float64_erf_within_bound():
     assert np.array_equal(np.signbit(zeros), [False, True])
 
 
-def test_float32_gelu_is_monotone_and_its_cdf_stays_in_unit_interval():
+def test_float32_gelu_is_monotone_and_its_cdf_stays_in_unit_interval(monkeypatch):
     xs = np.linspace(-0.5, 8.0, 200_001).astype(np.float32)
     assert np.all(np.diff(nc.gelu(Tensor(xs)).data) >= 0)
-    _, cdf = nc._gelu_f32(_f32_gelu_probes()[0])
+    # Phi lives only in block scratch; read it out through the slope's array
+    monkeypatch.setattr(nc, "_gelu_slope", lambda x, cdf, d: np.copyto(d, cdf))
+    _, cdf = nc._gelu_f32(_f32_gelu_probes()[0], True)
     assert cdf.min() >= 0.0 and cdf.max() <= 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, nc.GELU_BLOCK - 1, nc.GELU_BLOCK + 1, 3 * nc.GELU_BLOCK + 1234])
 def test_float32_gelu_blocks_agree_with_one_unblocked_pass(n, monkeypatch):
     x = np.random.default_rng(n).normal(scale=3.0, size=n).astype(np.float32)
-    blocked = nc._gelu_f32(x)
+    blocked = nc._gelu_f32(x, True)
     monkeypatch.setattr(nc, "GELU_BLOCK", max(n, 1))
-    whole = nc._gelu_f32(x)
+    whole = nc._gelu_f32(x, True)
+    assert len(blocked) == len(whole) == 2
     assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+
+
+@pytest.mark.parametrize("taped, outputs", [(False, 1), (True, 2)])
+def test_float32_gelu_allocates_only_its_output_and_taped_its_slope(taped, outputs):
+    """N elements cost 4N bytes per full-size array plus the block scratch;
+    computing Phi in a full-size array would add 4N more."""
+    import tracemalloc
+
+    n = 5 * nc.GELU_BLOCK + 123
+    x = Tensor(np.random.default_rng(0).normal(size=n).astype(np.float32), requires_grad=taped)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with GradTape():
+            y = nc.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert y.data.dtype == np.float32
+    scratch = 4 * 4 * nc.GELU_BLOCK
+    assert peak <= outputs * 4 * n + scratch + 4096, peak
 
 
 @pytest.mark.parametrize("shape", [(), (3, 5, 7), (2, nc.GELU_BLOCK + 3)])
@@ -322,6 +347,155 @@ def test_attention_rejects_indivisible_heads():
     w = _rand_weights(rng, 4)
     with pytest.raises(ConfigError):
         nc.multi_head_attention(t64(np.zeros((1, 2, 4))), w, heads=3)
+
+
+# ---------------------------------------------------------------------------
+# fused linear and attention core against the compositions they replace
+# ---------------------------------------------------------------------------
+
+def _composed_linear(x, w, b):
+    """`linear` as reshape, matmul, add and reshape: the oracle."""
+    flat = x if x.ndim == 2 else nc.reshape(x, (-1, x.shape[-1]))
+    out = nc.add(nc.matmul(flat, w), b)
+    return out if x.ndim == 2 else nc.reshape(out, x.shape[:-1] + (w.shape[1],))
+
+
+def _composed_attention_core(q, k, v, heads):
+    """`attention_core` as head split, matmul, mul, `softmax`, matmul and
+    merge: the oracle."""
+    b, t, c = q.shape
+    hd = c // heads
+
+    def split(x):  # (b, t, C) -> (b, h, t, hd)
+        return nc.transpose(nc.reshape(x, (b, t, heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = nc.mul(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+    ctx = nc.matmul(nc.softmax(scores, axis=-1), v)
+    return nc.reshape(nc.transpose(ctx, (0, 2, 1, 3)), (b, t, c))
+
+
+def _composed_attention(tokens, w, heads):
+    q, k, v = (_composed_linear(tokens, wx, bx) for wx, bx in ((w.wq, w.bq), (w.wk, w.bk), (w.wv, w.bv)))
+    return _composed_linear(_composed_attention_core(q, k, v, heads), w.wo, w.bo)
+
+
+def _forward_backward(f, arrays, needs_grad, seed=0):
+    """f's output and the gradients of the leaves that need one, for a
+    random cotangent."""
+    leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    with GradTape():
+        out = f(*leaves)
+        g = np.random.default_rng(seed).normal(size=out.shape).astype(out.dtype)
+        nc.backward_from(out, g)
+    return [out.data] + [leaf.grad.data for leaf in leaves if leaf.requires_grad]
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), i
+        assert a.tobytes() == b.tobytes(), f"array {i} differs"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(6, 5), (2, 3, 4, 5)])
+@pytest.mark.parametrize("needs_grad", [(True, True, True), (False, True, True)])
+def test_fused_linear_is_bitwise_the_composition(dtype, x_shape, needs_grad):
+    """(False, True, True) is the input projection: only w and b need a gradient."""
+    rng = np.random.default_rng(1)
+    arrays = [rng.normal(size=s).astype(dtype) for s in (x_shape, (5, 7), (7,))]
+    _assert_bitwise(_forward_backward(nc.linear, arrays, needs_grad),
+                    _forward_backward(_composed_linear, arrays, needs_grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, t, c, heads", [(2, 1, 8, 2), (3, 5, 6, 1), (2, 7, 8, 4), (4, 17, 16, 2), (2, 31, 32, 4)])
+def test_attention_core_is_bitwise_the_composition(dtype, b, t, c, heads):
+    rng = np.random.default_rng(t)
+    arrays = [rng.normal(scale=2.0, size=(b, t, c)).astype(dtype) for _ in range(3)]
+    core = lambda q, k, v: nc.attention_core(q, k, v, heads)  # noqa: E731
+    oracle = lambda q, k, v: _composed_attention_core(q, k, v, heads)  # noqa: E731
+    _assert_bitwise(_forward_backward(core, arrays, (True,) * 3),
+                    _forward_backward(oracle, arrays, (True,) * 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_multi_head_attention_is_bitwise_the_composition(dtype):
+    """Tokens and all eight projection leaves, so the order in which the
+    q, k and v gradients accumulate onto the tokens is covered too."""
+    rng = np.random.default_rng(2)
+    c, heads = 8, 2
+    arrays = [rng.normal(size=(3, 6, c))] + [rng.normal(size=(c, c)) for _ in range(4)]
+    arrays = [a.astype(dtype) for a in arrays + [rng.normal(size=c) for _ in range(4)]]
+
+    def run(attend):
+        return lambda x, *ws: attend(x, AttentionWeights(*ws), heads)
+
+    needs = (True,) * len(arrays)
+    _assert_bitwise(_forward_backward(run(nc.multi_head_attention), arrays, needs),
+                    _forward_backward(run(_composed_attention), arrays, needs))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_attention_core_matches_finite_differences(which):
+    rng = np.random.default_rng(3 + which)
+    qkv = [t64(rng.normal(size=(2, 3, 4))) for _ in range(3)]
+    weight = t64(rng.normal(size=(2, 3, 4)))
+
+    def f(x):
+        args = list(qkv)
+        args[which] = x
+        return nc.tensor_sum(nc.mul(nc.attention_core(*args, heads=2), weight))
+
+    report = nc.grad_check(f, qkv[which], tol=1e-4)
+    assert report.passed, report.max_rel_err
+
+
+def test_attention_core_rejects_bad_shapes_and_heads():
+    x = t64(np.zeros((1, 2, 4)))
+    with pytest.raises(ShapeError):
+        nc.attention_core(x, x, t64(np.zeros((1, 3, 4))), heads=2)
+    with pytest.raises(ShapeError):
+        nc.attention_core(t64(np.zeros((2, 4))), t64(np.zeros((2, 4))), t64(np.zeros((2, 4))), heads=2)
+    with pytest.raises(ConfigError):
+        nc.attention_core(x, x, x, heads=3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 2, 5, 17, 31, 33])
+def test_in_place_softmax_is_bitwise_softmax_with_signed_zero_ties(dtype, width):
+    """Rows whose max is a tie of +0 and -0: the column loop may pick the
+    other zero than x.max does, which changes no output."""
+    rng = np.random.default_rng(width)
+    x = -np.abs(rng.normal(size=(64, 3, width))).astype(dtype)
+    zeros = rng.integers(0, 3, size=x.shape)
+    x[zeros == 1] = 0.0
+    x[zeros == 2] = -0.0
+    top, low = nc._row_max_min(x)
+    assert np.array_equal(top, x.max(axis=-1)) and np.array_equal(low, x.min(axis=-1))
+    s = x.copy()
+    nc._softmax_last_axis_(s)
+    assert s.tobytes() == nc.softmax(Tensor(x), axis=-1).data.tobytes()
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 3, 6])
+def test_in_place_softmax_rejects_non_finite_as_softmax_does(fill, column):
+    x = np.random.default_rng(column).normal(size=(2, 3, 7))
+    x[1, 2, column] = fill
+    with pytest.raises(NumericError) as composed:
+        nc.softmax(t64(x), axis=-1)
+    with pytest.raises(NumericError) as fused:
+        nc._softmax_last_axis_(x.copy())
+    assert str(fused.value) == str(composed.value) == "softmax input contains non-finite values"
+
+
+def test_attention_core_rejects_non_finite_scores():
+    x = np.ones((1, 3, 4))
+    x[0, 1, 2] = math.nan
+    with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+        nc.attention_core(t64(x), t64(np.ones((1, 3, 4))), t64(np.ones((1, 3, 4))), heads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +687,20 @@ def test_default_model_tape_holds_slots_leaves_or_nothing():
     assert all(0 <= ref < node.slot for node in tape._nodes for ref in node.inputs
                if isinstance(ref, int))
     assert [node.slot for node in tape._nodes] == list(range(len(tape)))
+
+
+def test_criterion6_micro_batch_records_a_pinned_number_of_tape_nodes():
+    """One taped 8-window micro-batch of the criterion-6 model: 223 nodes,
+    463 when linear and attention were composed of primitives. A count, so
+    it does not depend on the host."""
+    from gaitpt.model import GaitPTConfig, GaitPTModel
+
+    model = GaitPTModel(GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20,
+                                     output_dim=32), seed=0)
+    windows = np.random.default_rng(0).uniform(size=(8, 20, 18, 2)).astype(np.float32)
+    with GradTape() as tape:
+        model.embed_batch(windows)
+    assert len(tape) == 223
 
 
 def test_backward_is_exact_when_dropped_outputs_free_their_ids():

@@ -14,6 +14,10 @@ process with one BLAS thread, and one sha256 prefix is printed per output:
     gradcheck       every `gaitpt gradcheck` report, errors at full precision
     synth           the files of a `gaitpt synth --seed 1` directory
 
+A last `tape-nodes` line gives, per tree, the tape nodes one taped micro-batch
+of 8 windows records on the criterion-6 model and on the default model. These
+are counts, not digests, so they do not enter the exit status.
+
 The training ops are the first op of the benchmark's `train-small` and
 `train-default` workloads at seed 1. Digests depend on the BLAS build, so
 compare trees on one machine rather than against stored values. With more
@@ -90,6 +94,25 @@ def _synth(workdir: Path) -> str:
     return _digest(f.name.encode() + b"\0" + f.read_bytes() for f in files)
 
 
+def _small_model_config():
+    from gaitpt import model
+
+    return model.GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20, output_dim=32)
+
+
+def tape_nodes() -> str:
+    """Tape nodes of one taped 8-window micro-batch, criterion-6 model/default model."""
+    from gaitpt import model, numcore
+
+    counts = []
+    for cfg in (_small_model_config(), model.GaitPTConfig()):
+        windows = np.random.default_rng(SEED).uniform(size=(8, cfg.sequence_length, 18, 2))
+        with numcore.GradTape() as tape:
+            model.GaitPTModel(cfg, seed=SEED).embed_batch(windows.astype(cfg.np_dtype))
+        counts.append(str(len(tape)))
+    return "/".join(counts)
+
+
 def tree_digests(tree: str) -> dict[str, str]:
     """The digests of the gaitpt package on sys.path, which must come from
     the absolute path `tree`."""
@@ -104,8 +127,7 @@ def tree_digests(tree: str) -> dict[str, str]:
         workdir = Path(tmp)
         return {
             "train-small": _train_one_op(
-                model.GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20,
-                                   output_dim=32),
+                _small_model_config(),
                 synthgait.SynthConfig(identities=12, sequences_per_identity=8, frames=30, views=(0, 90),
                                       conditions=(Condition.NM, Condition.CL), noise_level=0.05),
                 p=6, k=4, micro_batch=8),
@@ -127,7 +149,8 @@ def _run_tree(tree: str) -> dict[str, str]:
     env = {**os.environ, **ONE_THREAD,
            "PYTHONPATH": os.pathsep.join([str(Path(__file__).resolve().parent), str(root / "src")])}
     code = ("import sys, fingerprint\n"
-            "for name, d in fingerprint.tree_digests(sys.argv[1]).items(): print(name, d)")
+            "for name, d in fingerprint.tree_digests(sys.argv[1]).items(): print(name, d)\n"
+            "print('tape-nodes', fingerprint.tape_nodes())")
     with tempfile.TemporaryDirectory() as cwd:
         out = subprocess.run([sys.executable, "-c", code, str(root)], env=env, cwd=cwd,
                              check=True, capture_output=True, text=True).stdout
@@ -146,11 +169,13 @@ def main(argv: list[str]) -> int:
             print(f"{tree}: fingerprinting failed\n{e.stderr}", file=sys.stderr)
             return 2
     print("output         " + "  ".join(f"{t:<16s}" for t in argv))
+    nodes = [r.pop("tape-nodes") for r in results]
     same = True
     for name in results[0]:
         digests = [r.get(name, "-") for r in results]
         same &= len(set(digests)) == 1
         print(f"{name:<14s} " + "  ".join(f"{d:<16s}" for d in digests))
+    print("tape-nodes     " + "  ".join(f"{n:<16s}" for n in nodes))
     return 0 if same else 1
 
 
