@@ -11,6 +11,7 @@ into the buffer of a model built without its random init.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import INT64, ConfigError, DataFormatError, IntegrityError, checked_int, checked_real
 from .evaluation import EmbeddingSet
-from .model import GaitPTConfig, GaitPTModel
+from .model import GaitPTConfig, GaitPTModel, parameter_table
 from .skeleton import RAW_JOINTS, Condition, GaitSequence, duplicate_nose, normalize_sequence
 from .training import TrainConfig
 
@@ -287,7 +288,7 @@ def save_checkpoint(model: GaitPTModel, path) -> Path:
         "format_version": CHECKPOINT_VERSION,
         "dtype": model.config.dtype,
         "model_config": model.config.to_dict(),
-        "params": _param_table(model),
+        "params": _param_table(model.config),
         "payload_bytes": payload.nbytes,
         "crc32": zlib.crc32(payload),
     }
@@ -297,9 +298,10 @@ def save_checkpoint(model: GaitPTModel, path) -> Path:
     return path
 
 
-def _param_table(model: GaitPTModel) -> list:
-    """The header's [[name, shape], ...] table, in flat-vector order."""
-    return [[name, list(shape)] for name, _, shape in model.layout]
+def _param_table(config: GaitPTConfig, limit: int | None = None) -> list:
+    """The header's [[name, shape], ...] table in flat-vector order, or its
+    first `limit` entries: one more than a header lists tells a prefix apart."""
+    return [[name, list(shape)] for name, shape, _ in itertools.islice(parameter_table(config), limit)]
 
 
 def load_checkpoint(path) -> GaitPTModel:
@@ -309,8 +311,9 @@ def load_checkpoint(path) -> GaitPTModel:
     with no random init, so a load holds one copy of it. Rejects version
     mismatches, malformed headers, a payload whose length differs from the
     header's count, a `params` table (compared as JSON text, so `2.0` for
-    `2` fails) or payload length that differs from the config's flat
-    vector, and a CRC mismatch.
+    `2` fails) or payload length that differs from its config's table (both
+    before the buffer is allocated, and the table built no longer than the
+    header's), and a CRC mismatch.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -331,12 +334,15 @@ def load_checkpoint(path) -> GaitPTModel:
             config = GaitPTConfig(**header["model_config"])
         except (KeyError, TypeError, ConfigError) as e:
             raise DataFormatError(f"{path}: invalid model config in header: {e}") from e
-        model = GaitPTModel._unfilled(config)
-        if json.dumps(header["params"]) != json.dumps(_param_table(model)):
+        params = header["params"]
+        table = _param_table(config, len(params) + 1 if isinstance(params, list) else 0)
+        if json.dumps(params) != json.dumps(table):
             raise IntegrityError(f"{path}: 'params' is not a list of [name, shape] pairs of its config")
+        need = config.np_dtype.itemsize * sum(math.prod(shape) for _, shape in table)
+        if size != need:
+            raise IntegrityError(f"{path}: payload is {size} bytes, the parameter table needs {need}")
+        model = GaitPTModel._unfilled(config)
         flat = model.flat_parameters().data
-        if size != flat.nbytes:
-            raise IntegrityError(f"{path}: payload is {size} bytes, the parameter table needs {flat.nbytes}")
         got = fh.readinto(memoryview(flat).cast("B"))
         if got != flat.nbytes or fh.read(1):  # the file changed after the size check
             raise IntegrityError(f"{path}: payload changed while read: {got} bytes read of {flat.nbytes}, "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,7 +137,8 @@ def joint_merge(feat: Tensor, plan, projections) -> Tensor:
     groups must cover every input token and no group may repeat a member.
     Groups may overlap each other (the ALL scheme is an overlapping cover).
     `projections` supplies one (w, b) pair per group with w shaped
-    (len(group) * C_in, C_out).
+    (len(group) * C_in, C_out), one C_out for all groups; their outputs are
+    concatenated on the channel axis and reshaped once.
     """
     if feat.ndim != 4:
         raise ShapeError(f"joint_merge expects (batch, frames, tokens, C), got {feat.shape}")
@@ -158,10 +159,11 @@ def joint_merge(feat: Tensor, plan, projections) -> Tensor:
     outs = []
     for group, (w, bias) in zip(plan, projections):
         sel = nc.index_select(feat, 2, list(group))
-        flat = nc.reshape(sel, (b, n, len(group) * c_in))
-        proj = nc.linear(flat, w, bias)
-        outs.append(nc.reshape(proj, (b, n, 1, w.shape[1])))
-    return nc.concat(outs, axis=2)
+        outs.append(nc.linear(nc.reshape(sel, (b, n, len(group) * c_in)), w, bias))
+    widths = [out.shape[-1] for out in outs]
+    if len(set(widths)) > 1:
+        raise ShapeError(f"merge projections have unequal output widths {widths}")
+    return nc.reshape(nc.concat(outs, axis=-1), (b, n, len(plan), widths[0]))
 
 
 def _l2_normalize(x: Tensor) -> Tensor:
@@ -172,6 +174,55 @@ def _l2_normalize(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
+
+_ATTENTION_PARAMS = tuple(f.name for f in fields(AttentionWeights))  # wq..wo, then bq..bo
+
+
+def parameter_table(config: GaitPTConfig) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
+    """Yield (name, shape, initial value or None for a N(0, 0.02) draw) per
+    parameter, in buffer and checkpoint order. It allocates nothing, so a
+    checkpoint header can be checked against its first entries."""
+    dims = config.dims
+    yield "input_proj.w", (INPUT_CHANNELS, dims[0]), None
+    yield "input_proj.b", (dims[0],), 0.0
+
+    for s in (1, 2, 3):
+        for gi, group in enumerate(merge_plan(s, config.scheme)):
+            yield f"merge{s}.g{gi}.w", (len(group) * dims[s - 1], dims[s]), None
+            yield f"merge{s}.g{gi}.b", (dims[s],), 0.0
+
+    counts = token_counts(config.scheme)
+    for stage in config.stages:
+        for kind in stage.encoders:
+            seq_len = counts[stage.index - 1] if kind == "spatial" else config.sequence_length
+            yield from _encoder_table(stage, kind, seq_len)
+
+    class_width = sum(stage.dim * len(stage.encoders) for stage in config.stages)
+    yield "head.w", (class_width, config.output_dim), None
+    yield "head.b", (config.output_dim,), 0.0
+
+
+def _encoder_table(stage: StageConfig, kind: str, seq_len: int):
+    c = stage.dim
+    hidden = FFN_MULTIPLIER * c
+    base = f"stage{stage.index}.{kind}"
+
+    yield f"{base}.cls", (c,), None
+    yield f"{base}.pos", (seq_len + 1, c), None
+    for i in range(stage.blocks):
+        blk = f"{base}.block{i}"
+        yield f"{blk}.ln1.g", (c,), 1.0
+        yield f"{blk}.ln1.b", (c,), 0.0
+        for name in _ATTENTION_PARAMS:
+            weight = name.startswith("w")
+            yield f"{blk}.attn.{name}", (c, c) if weight else (c,), None if weight else 0.0
+        yield f"{blk}.ln2.g", (c,), 1.0
+        yield f"{blk}.ln2.b", (c,), 0.0
+        yield f"{blk}.ffn.w1", (c, hidden), None
+        yield f"{blk}.ffn.b1", (hidden,), 0.0
+        yield f"{blk}.ffn.w2", (hidden, c), None
+        yield f"{blk}.ffn.b2", (c,), 0.0
+
 
 class GaitPTModel:
     """Parameters and forward pass of the pyramid.
@@ -186,9 +237,9 @@ class GaitPTModel:
     """
 
     def __init__(self, config: GaitPTConfig, seed: int = 0):
-        fills = self._lay_out(config)
+        table = self._lay_out(config)
         rng = np.random.default_rng(seed)
-        for p, fill in zip(self.params.values(), fills):
+        for p, (_, _, fill) in zip(self.params.values(), table):
             p.value.data[...] = rng.normal(0.0, 0.02, size=p.shape) if fill is None else fill
 
     @classmethod
@@ -201,76 +252,26 @@ class GaitPTModel:
 
     # -- construction -------------------------------------------------------
 
-    def _lay_out(self, config: GaitPTConfig) -> list[float | None]:
-        """Make the buffer and the parameters as views into it; returns each
-        parameter's initial value, None for a N(0, 0.02) draw."""
+    def _lay_out(self, config: GaitPTConfig) -> list[tuple[str, tuple[int, ...], float | None]]:
+        """Make the buffer and the parameters as views into it; return the parameter table."""
         self.config = config
         self.merge_plans = tuple(merge_plan(s, config.scheme) for s in (1, 2, 3))
-        self.class_layout: list[tuple[int, str, int]] = []
-        table = self._table()
+        table = list(parameter_table(config))
         self._flat = np.empty(sum(math.prod(shape) for _, shape, _ in table), config.np_dtype)
         self.params: dict[str, Parameter] = {}
         self.layout: list[tuple[str, slice, tuple[int, ...]]] = []
         start = 0
         for name, shape, _ in table:
-            if name in self.params:
-                raise ConfigError(f"duplicate parameter name {name}")
             span = slice(start, start + math.prod(shape))
             self.params[name] = Parameter(name, Tensor(self._flat[span].reshape(shape)))
             self.layout.append((name, span, shape))
             start = span.stop
-        return [fill for _, _, fill in table]
-
-    def _table(self) -> list[tuple[str, tuple[int, ...], float | None]]:
-        """(name, shape, initial value) per parameter, in buffer order."""
-        cfg = self.config
-        dims = cfg.dims
-        counts = token_counts(cfg.scheme)
-        table = []
-
-        def add(name, *shape, fill=None):
-            table.append((name, shape, fill))
-
-        add("input_proj.w", INPUT_CHANNELS, dims[0])
-        add("input_proj.b", dims[0], fill=0.0)
-
-        for s in (1, 2, 3):
-            for gi, group in enumerate(self.merge_plans[s - 1]):
-                add(f"merge{s}.g{gi}.w", len(group) * dims[s - 1], dims[s])
-                add(f"merge{s}.g{gi}.b", dims[s], fill=0.0)
-
-        for stage in cfg.stages:
-            for kind in stage.encoders:
-                seq_len = counts[stage.index - 1] if kind == "spatial" else cfg.sequence_length
-                self._encoder_table(stage, kind, seq_len, add)
-                self.class_layout.append((stage.index, kind, stage.dim))
-
-        concat_width = sum(width for _, _, width in self.class_layout)
-        add("head.w", concat_width, cfg.output_dim)
-        add("head.b", cfg.output_dim, fill=0.0)
         return table
 
-    def _encoder_table(self, stage: StageConfig, kind: str, seq_len: int, add) -> None:
-        c = stage.dim
-        hidden = FFN_MULTIPLIER * c
-        base = f"stage{stage.index}.{kind}"
-
-        add(f"{base}.cls", c)
-        add(f"{base}.pos", seq_len + 1, c)
-        for i in range(stage.blocks):
-            blk = f"{base}.block{i}"
-            add(f"{blk}.ln1.g", c, fill=1.0)
-            add(f"{blk}.ln1.b", c, fill=0.0)
-            for proj in ("wq", "wk", "wv", "wo"):
-                add(f"{blk}.attn.{proj}", c, c)
-            for bias in ("bq", "bk", "bv", "bo"):
-                add(f"{blk}.attn.{bias}", c, fill=0.0)
-            add(f"{blk}.ln2.g", c, fill=1.0)
-            add(f"{blk}.ln2.b", c, fill=0.0)
-            add(f"{blk}.ffn.w1", c, hidden)
-            add(f"{blk}.ffn.b1", hidden, fill=0.0)
-            add(f"{blk}.ffn.w2", hidden, c)
-            add(f"{blk}.ffn.b2", c, fill=0.0)
+    @property
+    def class_layout(self) -> list[tuple[int, str, int]]:
+        """(stage, encoder kind, width) per class output, in the head's input order."""
+        return [(stage.index, kind, stage.dim) for stage in self.config.stages for kind in stage.encoders]
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -299,28 +300,19 @@ class GaitPTModel:
 
     def _with_class(self, x: Tensor, base: str, p: dict[str, Tensor]) -> Tensor:
         rows, t, c = x.shape
-        cls = nc.broadcast_to(nc.reshape(p[f"{base}.cls"], (1, 1, c)), (rows, 1, c))
-        x = nc.concat([cls, x], axis=1)
         pos = p[f"{base}.pos"]
         if pos.shape[0] < t + 1:
             raise ShapeError(f"{base}: {t} tokens exceed the positional table of {pos.shape[0] - 1}")
-        return nc.add(x, nc.reshape(pos[: t + 1], (1, t + 1, c)))
+        cls = nc.broadcast_to(p[f"{base}.cls"], (rows, 1, c))
+        return nc.add(nc.concat([cls, x], axis=1), pos[: t + 1])
 
     def _encoder(self, x: Tensor, stage: StageConfig, kind: str,
                  p: dict[str, Tensor]) -> Tensor:
         for i in range(stage.blocks):
             blk = f"stage{stage.index}.{kind}.block{i}"
             h = nc.layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            h = nc.multi_head_attention(
-                h,
-                AttentionWeights(
-                    wq=p[f"{blk}.attn.wq"], wk=p[f"{blk}.attn.wk"],
-                    wv=p[f"{blk}.attn.wv"], wo=p[f"{blk}.attn.wo"],
-                    bq=p[f"{blk}.attn.bq"], bk=p[f"{blk}.attn.bk"],
-                    bv=p[f"{blk}.attn.bv"], bo=p[f"{blk}.attn.bo"],
-                ),
-                stage.heads,
-            )
+            weights = AttentionWeights(**{name: p[f"{blk}.attn.{name}"] for name in _ATTENTION_PARAMS})
+            h = nc.multi_head_attention(h, weights, stage.heads)
             x = nc.add(x, h)
             h = nc.layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
             h = nc.linear(h, p[f"{blk}.ffn.w1"], p[f"{blk}.ffn.b1"])
@@ -349,7 +341,8 @@ class GaitPTModel:
         """One encoder over (batch, frames, tokens, C) features. Spatial
         attention runs along the token axis of each frame; temporal attention
         swaps the two middle axes first, so it runs along the frame axis of
-        each token, and swaps them back after."""
+        each token, and swaps them back after. The class column and the tokens
+        are slices of one (batch, rows, length + 1, C) view of the output."""
         if not 1 <= stage_index <= 4:
             raise ConfigError(f"stage index must be 1..4, got {stage_index}")
         stage = self.config.stages[stage_index - 1]
@@ -364,9 +357,9 @@ class GaitPTModel:
         b, rows, length, c = x.shape
         flat = nc.reshape(x, (b * rows, length, c))
         flat = self._with_class(flat, f"stage{stage_index}.{kind}", p)
-        flat = self._encoder(flat, stage, kind, p)
-        cls = nc.mean(nc.reshape(flat[:, 0, :], (b, rows, c)), axis=1)
-        toks = nc.reshape(flat[:, 1:, :], (b, rows, length, c))
+        out = nc.reshape(self._encoder(flat, stage, kind, p), (b, rows, length + 1, c))
+        cls = nc.mean(out[:, :, 0, :], axis=1)
+        toks = out[:, :, 1:, :]
         if kind == "temporal":
             toks = nc.transpose(toks, (0, 2, 1, 3))
         return toks, cls

@@ -16,7 +16,7 @@ from gaitpt import dataio
 from gaitpt.cli import main
 from gaitpt.errors import ConfigError, DataFormatError, IntegrityError
 from gaitpt.evaluation import EmbeddingSet
-from gaitpt.model import GaitPTConfig, GaitPTModel
+from gaitpt.model import GaitPTConfig, GaitPTModel, parameter_table
 from gaitpt.skeleton import Condition, PartitionScheme, sequence_key
 from gaitpt.training import TrainConfig
 
@@ -497,6 +497,53 @@ def test_checkpoint_payload_that_disagrees_with_its_table_exits_3(tmp_path, caps
     argv = ["embed", "--data", str(records), "--ckpt", str(ckpt), "--out", str(tmp_path / "e.jsonl")]
     assert main(argv) == 3
     assert str(ckpt) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["the saved model's", "the huge config's"])
+def test_checkpoint_header_for_a_petabyte_config_exits_3_before_allocating(tmp_path, capsys, params):
+    """A header whose config would take 6.88 PiB of parameters is refused by
+    the table checks, which come before the parameter buffer is allocated;
+    with its own table in the header, only the payload length can tell."""
+    ckpt = tmp_path / "m.ckpt"
+    dataio.save_checkpoint(GaitPTModel(tiny_config(sequence_length=2), seed=0), ckpt)
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["model_config"]["dims"] = [4194304] * 4
+    expected = r"'params' is not a list of \[name, shape\] pairs"
+    if params == "the huge config's":
+        table = parameter_table(GaitPTConfig(**header["model_config"]))
+        header["params"] = [[name, list(shape)] for name, shape, _ in table]
+        expected = f"payload is {len(payload)} bytes, the parameter table needs 7740568150999168$"  # 6.88 PiB
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(IntegrityError, match=expected):
+        dataio.load_checkpoint(ckpt)
+    records = tmp_path / "r.jsonl"
+    records.write_text(_record_line())
+    argv = ["embed", "--data", str(records), "--ckpt", str(ckpt), "--out", str(tmp_path / "e.jsonl")]
+    assert main(argv) == 3
+    assert str(ckpt) in capsys.readouterr().err
+
+
+def test_checkpoint_header_with_a_billion_blocks_builds_no_more_table_than_it_lists(tmp_path, monkeypatch):
+    """`blocks` sets the length of the config's parameter table: at a billion
+    per stage, building it all would exhaust memory before any check. The
+    loader draws at most one entry more than the header lists."""
+    ckpt = tmp_path / "m.ckpt"
+    dataio.save_checkpoint(GaitPTModel(tiny_config(sequence_length=2), seed=0), ckpt)
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["model_config"]["blocks"] = [10**9] * 4
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    limit = len(header["params"]) + 1
+
+    def bounded_table(config):
+        for drawn, entry in enumerate(parameter_table(config), 1):
+            assert drawn <= limit, "the loader drew more of the table than the header lists"
+            yield entry
+
+    monkeypatch.setattr(dataio, "parameter_table", bounded_table)
+    with pytest.raises(IntegrityError, match=r"'params' is not a list of \[name, shape\] pairs"):
+        dataio.load_checkpoint(ckpt)
 
 
 def test_checkpoint_header_echoes_config(tmp_path):

@@ -218,6 +218,16 @@ def test_joint_merge_rejects_non_cover_and_repeats():
         joint_merge(x, ((0, 0), (1, 2)), [(w, b), (w, b)])  # repeated member
 
 
+def test_joint_merge_refuses_projections_of_unequal_width():
+    """Concatenated on the channel axis, widths 4 and 8 would reshape into
+    two tokens of width 6; the merge names the widths instead."""
+    x = Tensor(np.ones((1, 2, 2, 3)))
+    narrow = (Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))
+    wide = (Tensor(np.ones((3, 8))), Tensor(np.zeros(8)))
+    with pytest.raises(ShapeError, match=r"unequal output widths \[4, 8\]"):
+        joint_merge(x, ((0,), (1,)), [narrow, wide])
+
+
 def test_hul_stage2_merge_gives_three_double_width_tokens():
     cfg = GaitPTConfig.build()  # default 32/64/128/256
     model = GaitPTModel(cfg, seed=0)

@@ -690,17 +690,18 @@ def test_default_model_tape_holds_slots_leaves_or_nothing():
 
 
 def test_criterion6_micro_batch_records_a_pinned_number_of_tape_nodes():
-    """One taped 8-window micro-batch of the criterion-6 model: 223 nodes,
-    463 when linear and attention were composed of primitives. A count, so
-    it does not depend on the host."""
+    """One taped 8-window micro-batch: 196 nodes on the criterion-6 model and
+    364 on the default one. A count, so it does not depend on the host."""
     from gaitpt.model import GaitPTConfig, GaitPTModel
 
-    model = GaitPTModel(GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20,
-                                     output_dim=32), seed=0)
-    windows = np.random.default_rng(0).uniform(size=(8, 20, 18, 2)).astype(np.float32)
-    with GradTape() as tape:
-        model.embed_batch(windows)
-    assert len(tape) == 223
+    criterion6 = GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20, output_dim=32)
+    counts = []
+    for cfg in (criterion6, GaitPTConfig()):
+        windows = np.random.default_rng(0).uniform(size=(8, cfg.sequence_length, 18, 2)).astype(np.float32)
+        with GradTape() as tape:
+            GaitPTModel(cfg, seed=0).embed_batch(windows)
+        counts.append(len(tape))
+    assert counts == [196, 364]
 
 
 def test_backward_is_exact_when_dropped_outputs_free_their_ids():

@@ -13,15 +13,19 @@ process with one BLAS thread, and one sha256 prefix is printed per output:
     checkpoint      the bytes of those two checkpoint files (default config, seed 1)
     gradcheck       every `gaitpt gradcheck` report, errors at full precision
     synth           the files of a `gaitpt synth --seed 1` directory
+    schemes         embeddings and every parameter gradient of the criterion-6
+                    model under the ALL, HLR and OPPOSITE schemes in float32
+                    and float64, on 5 windows (so the head pads its rows)
 
 A last `tape-nodes` line gives, per tree, the tape nodes one taped micro-batch
 of 8 windows records on the criterion-6 model and on the default model. These
 are counts, not digests, so they do not enter the exit status.
 
-The training ops are the first op of the benchmark's `train-small` and
-`train-default` workloads at seed 1. Digests depend on the BLAS build, so
-compare trees on one machine rather than against stored values. With more
-than one tree, the exit status is 1 if any digest differs.
+The training ops are the first op of the tree's own `perfbench/workloads.py`
+`train-small` and `train-default` workloads at seed 1, and the criterion-6
+model is `train-small`'s. Digests depend on the BLAS build, so compare trees
+on one machine rather than against stored values. With more than one tree,
+the exit status is 1 if any digest differs.
 """
 
 from __future__ import annotations
@@ -53,15 +57,14 @@ def _params_digest(model) -> str:
     return _digest(name.encode() + p.value.data.tobytes() for name, p in model.params.items())
 
 
-def _train_one_op(model_config, data, p: int, k: int, micro_batch: int) -> str:
-    from gaitpt import model, synthgait, training
+def _train_one_op(workload: str, workdir: Path) -> str:
+    """Parameters after the first op of a perfbench training workload."""
+    import workloads
 
-    splits = synthgait.generate_split_sequences(replace(data, seed=SEED))
-    m = model.GaitPTModel(model_config, seed=SEED)
-    cfg = training.TrainConfig(p=p, k=k, micro_batch=micro_batch, epochs=1, steps_per_epoch=1,
-                               seed=SEED * 1_000_003)
-    training.train(m, [s for part in splits.values() for s in part], cfg, log_stream=io.StringIO())
-    return _params_digest(m)
+    step = workloads.WORKLOADS[workload]()
+    step.setup(SEED, workdir)
+    step.op(0)
+    return _params_digest(step.model)
 
 
 def _embed_through_checkpoint(dtype: str, workdir: Path) -> str:
@@ -95,9 +98,28 @@ def _synth(workdir: Path) -> str:
 
 
 def _small_model_config():
-    from gaitpt import model
+    """The criterion-6 model's config, as perfbench's `train-small` builds it."""
+    import workloads
 
-    return model.GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20, output_dim=32)
+    return workloads.WORKLOADS["train-small"]().model_config
+
+
+def _schemes() -> str:
+    from gaitpt import model, numcore
+
+    chunks = []
+    for scheme in ("ALL", "HLR", "OPPOSITE"):
+        for dtype in ("float32", "float64"):
+            cfg = replace(_small_model_config(), scheme=scheme, dtype=dtype)
+            rng = np.random.default_rng(SEED)
+            windows = rng.uniform(size=(5, cfg.sequence_length, 18, 2)).astype(dtype)
+            m = model.GaitPTModel(cfg, seed=SEED)
+            with numcore.GradTape():
+                emb = m.embed_batch(windows)
+                numcore.backward_from(emb, rng.normal(size=emb.shape))
+            chunks.append(emb.data.tobytes())
+            chunks += [name.encode() + p.grad.data.tobytes() for name, p in m.params.items()]
+    return _digest(chunks)
 
 
 def tape_nodes() -> str:
@@ -117,8 +139,6 @@ def tree_digests(tree: str) -> dict[str, str]:
     """The digests of the gaitpt package on sys.path, which must come from
     the absolute path `tree`."""
     import gaitpt
-    from gaitpt import model, synthgait
-    from gaitpt.skeleton import Condition
 
     src = Path(tree) / "src"
     if not Path(gaitpt.__file__).resolve().is_relative_to(src):
@@ -126,28 +146,22 @@ def tree_digests(tree: str) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         return {
-            "train-small": _train_one_op(
-                _small_model_config(),
-                synthgait.SynthConfig(identities=12, sequences_per_identity=8, frames=30, views=(0, 90),
-                                      conditions=(Condition.NM, Condition.CL), noise_level=0.05),
-                p=6, k=4, micro_batch=8),
-            "train-default": _train_one_op(
-                model.GaitPTConfig(),
-                synthgait.SynthConfig(identities=16, sequences_per_identity=8, frames=60, views=(0, 90)),
-                p=8, k=4, micro_batch=8),
+            "train-small": _train_one_op("train-small", workdir),
+            "train-default": _train_one_op("train-default", workdir),
             "embed-float32": _embed_through_checkpoint("float32", workdir),
             "embed-float64": _embed_through_checkpoint("float64", workdir),
             "checkpoint": _digest((workdir / f"{dtype}.ckpt").read_bytes() for dtype in ("float32", "float64")),
             "gradcheck": _gradcheck(),
             "synth": _synth(workdir),
+            "schemes": _schemes(),
         }
 
 
 def _run_tree(tree: str) -> dict[str, str]:
     """`tree_digests` in a fresh process that imports gaitpt from `tree`."""
     root = Path(tree).resolve()
-    env = {**os.environ, **ONE_THREAD,
-           "PYTHONPATH": os.pathsep.join([str(Path(__file__).resolve().parent), str(root / "src")])}
+    path = [Path(__file__).resolve().parent, root / "src", root / "perfbench"]
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": os.pathsep.join(map(str, path))}
     code = ("import sys, fingerprint\n"
             "for name, d in fingerprint.tree_digests(sys.argv[1]).items(): print(name, d)\n"
             "print('tape-nodes', fingerprint.tape_nodes())")
