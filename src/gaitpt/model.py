@@ -232,8 +232,10 @@ class GaitPTModel:
     in the order of the name -> Parameter dict, which is the checkpoint
     payload order; `layout` gives each one's (name, span, shape). Updates
     write into the views and never rebind them. A built model is immutable
-    during inference, so concurrent embedding calls are safe; training
-    mutates parameter values and must be single-writer.
+    during inference, so concurrent embedding calls are safe, also while
+    another thread holds a tape open: tapes are per thread, so an
+    embedding call records nothing on it (tested). Training mutates
+    parameter values and must be single-writer.
     """
 
     def __init__(self, config: GaitPTConfig, seed: int = 0):

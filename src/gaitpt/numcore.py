@@ -27,6 +27,13 @@ root, relu's mask, GELU's slope cdf + x pdf, layer norm's normalized input,
 inverse deviation and gain, and the attention core's split q, kᵀ and v and
 its softmax output.
 
+Layer norm and the attention core also register a recipe on their node: a
+function that rebuilds their output bitwise from those kept arrays (plus
+layer norm's bias), by one elementwise pass or one small batched matmul.
+A `linear` whose input such a node produced on the same live tape keeps
+that recipe instead of the input, so the tape holds no layer-norm output
+and no attention context. Untaped ops register nothing.
+
 `linear` and `attention_core` are single nodes that write each activation
 once; their outputs and gradients are bitwise those of the compositions of
 primitives they replace, which the tests keep as oracles.
@@ -34,7 +41,9 @@ primitives they replace, which the tests keep as oracles.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,9 +59,11 @@ class GradTape:
     """Ordered record of primitive ops, replayable in reverse for adjoints.
 
     Use as a context manager; ops executed inside record themselves when any
-    input requires a gradient. A tape is single-writer: never record onto one
-    tape from two concurrent contexts. Replaying (see `backward`) consumes
-    the record, releasing intermediate buffers as it walks.
+    input requires a gradient. Open tapes are per thread: a tape records only
+    the ops of the thread that entered it, and ops on a thread with no open
+    tape record nothing. A tape is single-writer: never record onto one tape
+    from two concurrent contexts. Replaying (see `backward`) consumes the
+    record, releasing intermediate buffers as it walks.
 
     The record holds no intermediate tensor: nodes name this tape's outputs
     by slot, hold only leaves, and their VJPs keep shapes and the arrays
@@ -64,35 +75,48 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
-        _TAPE_STACK.append(self)
+        _OPEN_TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _OPEN_TAPES.stack.pop()
         assert popped is self, "tapes must unwind in LIFO order"
 
     def __len__(self) -> int:
         return len(self._nodes)
 
 
-_TAPE_STACK: list[GradTape] = []
+class _TapeStack(threading.local):
+    """The calling thread's open tapes, innermost last."""
+
+    def __init__(self):
+        self.stack: list[GradTape] = []
+
+
+_OPEN_TAPES = _TapeStack()
 
 
 def _active_tape() -> GradTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _OPEN_TAPES.stack
+    return stack[-1] if stack else None
 
 
 class _Node:
     """One recorded primitive: its output's slot, one reference per input
     (a slot on this tape, a leaf `Tensor`, or None when no gradient is
-    needed) and the VJP closure."""
+    needed), the VJP closure and, for some primitives, a recipe: a
+    no-argument function that rebuilds the output bitwise from arrays the
+    VJP keeps anyway. A recipe runs at most once, so the q, k and v
+    projections of one layer-norm output rebuild it once; its result lives
+    until this node is replayed."""
 
-    __slots__ = ("slot", "inputs", "vjp")
+    __slots__ = ("slot", "inputs", "vjp", "recipe")
 
-    def __init__(self, slot: int, inputs: tuple, vjp):
+    def __init__(self, slot: int, inputs: tuple, vjp, recipe):
         self.slot = slot
         self.inputs = inputs
         self.vjp = vjp
+        self.recipe = recipe
 
 
 class Tensor:
@@ -195,7 +219,7 @@ def _recording(*inputs: Tensor) -> GradTape | None:
     return None
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp, recipe=None) -> Tensor:
     """Attach `out` to the active tape when any input tracks gradients;
     with no tape active, `out` is returned untouched. The node refers to
     each input by slot, as a leaf, or not at all (see `_Node`)."""
@@ -207,8 +231,18 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
         out.requires_grad = True
         out._tape = tape
         out._slot = len(tape._nodes)
-        tape._nodes.append(_Node(out._slot, refs, vjp))
+        tape._nodes.append(_Node(out._slot, refs, vjp, recipe and functools.cache(recipe)))
     return out
+
+
+def _recipe(x: Tensor, inputs: tuple[Tensor, ...]):
+    """The recipe of x's producer when an op on `inputs` records onto the
+    live tape that produced x; otherwise None (a leaf, a tensor of another
+    tape or of a consumed one, or an untaped op)."""
+    tape = _recording(*inputs)
+    if tape is None or x._tape is not tape or tape._consumed:
+        return None
+    return tape._nodes[x._slot].recipe
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -529,6 +563,13 @@ def linear(x, w, b) -> Tensor:
     One node: one GEMM on x's 2-D view with the bias added in place. The
     VJP's expressions are those of reshape, matmul and add, so outputs and
     gradients are bitwise equal to that composition (tested).
+
+    w's gradient reads x. When x's producer recorded a recipe on the same
+    live tape (`layer_norm`, `attention_core`), the VJP keeps that recipe
+    and rebuilds x at backward time instead of keeping x itself. A recipe,
+    like this VJP's read of w, takes parameter values as they are at
+    backward time, so parameters must not change between a forward pass
+    and its backward pass.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -540,13 +581,14 @@ def linear(x, w, b) -> Tensor:
     y += b.data
     out = Tensor(y.reshape(x.shape[:-1] + (w.shape[1],)))
     sx, sb = x.shape, b.shape
-    xa = x2 if w.requires_grad else None  # as in `matmul`
+    # as in `matmul`, each operand is kept only when the other's gradient is needed
+    xa = (_recipe(x, (x, w, b)) or (lambda: x2)) if w.requires_grad else None
     wa = w.data if x.requires_grad else None
 
     def vjp(g):
         g = g.reshape(-1, g.shape[-1])
         gx = None if wa is None else (g @ np.swapaxes(wa, -1, -2)).reshape(sx)
-        gw = None if xa is None else np.swapaxes(xa, -1, -2) @ g
+        gw = None if xa is None else np.swapaxes(xa().reshape(-1, sx[-1]), -1, -2) @ g
         return gx, gw, _unbroadcast(g, sb)
 
     return _record(out, (x, w, b), vjp)
@@ -569,8 +611,19 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _record(out, (x,), vjp)
 
 
+def _affine(xn: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Layer norm's output from its normalized input; the forward pass and
+    the recipe share it, so the recipe rebuilds the output bitwise."""
+    y = xn * gain
+    y += bias
+    return y
+
+
 def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Taped, it registers the recipe `_affine(xn, gain, bias)` for its output,
+    from the normalized input its VJP keeps (see `linear`)."""
     x = _as_tensor(x)
     gain = _as_tensor(gain, x)
     bias = _as_tensor(bias, x)
@@ -584,11 +637,9 @@ def layer_norm(x, gain, bias) -> Tensor:
     var = (xn * xn).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xn *= inv  # the centred input, normalized in place
-    y = xn * gain.data
-    y += bias.data
-    out = Tensor(y)
+    out = Tensor(_affine(xn, gain.data, bias.data))
     n = x.shape[-1]
-    w = gain.data
+    w, shift = gain.data, bias.data
 
     def vjp(g):
         dgain = (g * xn).reshape(-1, n).sum(axis=0)
@@ -601,7 +652,7 @@ def layer_norm(x, gain, bias) -> Tensor:
         )
         return dx, dgain, dbias
 
-    return _record(out, (x, gain, bias), vjp)
+    return _record(out, (x, gain, bias), vjp, lambda: _affine(xn, w, shift))
 
 
 def _row_max_min(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -635,6 +686,13 @@ def _softmax_last_axis_(s: np.ndarray) -> None:
     s /= s.sum(axis=-1, keepdims=True)
 
 
+def _merge_heads(p: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """The attention context: p @ vh per head, (b, h, t, hd), merged to a
+    contiguous (b, t, h * hd); the forward pass and the recipe share it."""
+    b, h, t, hd = vh.shape
+    return np.ascontiguousarray((p @ vh).transpose(0, 2, 1, 3)).reshape(b, t, h * hd)
+
+
 def attention_core(q, k, v, heads: int) -> Tensor:
     """Scaled dot-product attention over `heads` heads of projected tokens.
 
@@ -644,7 +702,9 @@ def attention_core(q, k, v, heads: int) -> Tensor:
     the score buffer in place, and merges the heads back. Its VJP repeats
     the expressions of the head split, matmul, mul, `softmax` and merge it
     replaces, in their order, so outputs and gradients are bitwise equal
-    to that composition (tested).
+    to that composition (tested). Taped, it registers the recipe
+    `_merge_heads(p, vh)` for its output, from the softmax output and split
+    v its VJP keeps (see `linear`).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
@@ -662,8 +722,7 @@ def attention_core(q, k, v, heads: int) -> Tensor:
     p = qh @ kt
     p *= scale
     _softmax_last_axis_(p)
-    ctx = p @ vh  # (b, h, t, hd)
-    out = Tensor(np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(b, t, c))
+    out = Tensor(_merge_heads(p, vh))
 
     def vjp(g):
         g = np.transpose(g.reshape(b, t, heads, hd), (0, 2, 1, 3))
@@ -677,7 +736,7 @@ def attention_core(q, k, v, heads: int) -> Tensor:
                 np.transpose(gkt, (0, 3, 1, 2)).reshape(b, t, c),
                 np.transpose(gv, (0, 2, 1, 3)).reshape(b, t, c))
 
-    return _record(out, (q, k, v), vjp)
+    return _record(out, (q, k, v), vjp, lambda: _merge_heads(p, vh))
 
 
 @dataclass
@@ -750,7 +809,7 @@ def backward_from(output: Tensor, cotangent: np.ndarray) -> None:
                     continue
                 grads[ref] = grads[ref] + gi if ref in grads else gi
         # release the record as we go so peak memory stays near the forward pass
-        node.inputs = node.vjp = None
+        node.inputs = node.vjp = node.recipe = None
     tape._nodes.clear()
 
     for t, g in grads.items():  # only leaves are left

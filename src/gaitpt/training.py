@@ -4,10 +4,11 @@ identity-balanced P x K batches, AdamW, and a decaying cyclic learning rate.
 The loss gradient is computed on the embedding matrix and pushed back
 through the network in micro-batches, in the parameters' dtype. Every
 micro-batch's tape stays alive until the whole P x K batch is mined, so peak
-memory grows with P x K; each tape keeps only what its VJPs read (see
-`numcore`), 152 MB for one default-model float32 micro-batch of 8 windows.
-Traced (tracemalloc), a default P x K = 32 step peaks at about 611 MB and
-the criterion-6 model's P x K = 24 step at about 52 MB, as
+memory grows with P x K; each tape keeps only what its VJPs read and
+rebuilds layer-norm outputs and attention contexts (see `numcore`), 126 MB
+for one default-model float32 micro-batch of 8 windows. Traced
+(tracemalloc), a default P x K = 32 step peaks at about 509 MB and the
+criterion-6 model's P x K = 24 step at about 44 MB, as
 `test_criterion6_training_step_traced_peak_is_bounded` measures (numpy 2.4,
 x86_64); README's Performance table gives step times and resident peaks.
 """

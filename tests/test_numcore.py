@@ -462,6 +462,150 @@ def test_attention_core_rejects_bad_shapes_and_heads():
         nc.attention_core(x, x, x, heads=3)
 
 
+# ---------------------------------------------------------------------------
+# recipes: a linear over a layer norm or an attention core rebuilds its input
+# ---------------------------------------------------------------------------
+
+_PRODUCERS = {
+    "layer_norm": (nc.layer_norm, ["x", (8,), (8,)]),
+    "attention_core": (lambda q, k, v: nc.attention_core(q, k, v, heads=2), ["x"] * 3),
+}
+
+
+def _chain(name, through_reshape=False):
+    """linear(producer(...), w, c); a `reshape` in between registers no
+    recipe, so there `linear` keeps its input: the oracle."""
+    producer = _PRODUCERS[name][0]
+
+    def f(*leaves):
+        h = producer(*leaves[:-2])
+        if through_reshape:
+            h = nc.reshape(h, h.shape)
+        return nc.linear(h, *leaves[-2:])
+    return f
+
+
+def _chain_arrays(name, dtype, rng, batch=2, tokens=5):
+    shapes = [(batch, tokens, 8) if s == "x" else s for s in _PRODUCERS[name][1]] + [(8, 6), (6,)]
+    return [rng.normal(size=s).astype(dtype) for s in shapes]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(_PRODUCERS))
+def test_linear_over_a_recipe_is_bitwise_linear_over_its_kept_input(dtype, name):
+    arrays = _chain_arrays(name, dtype, np.random.default_rng(6))
+    needs = (True,) * len(arrays)
+    _assert_bitwise(_forward_backward(_chain(name), arrays, needs),
+                    _forward_backward(_chain(name, through_reshape=True), arrays, needs))
+
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    for through_reshape, recipes in ((False, [True, False]), (True, [True, False, False])):
+        with GradTape() as tape:
+            _chain(name, through_reshape)(*leaves)
+        assert [node.recipe is not None for node in tape._nodes] == recipes
+        kept = [cell.cell_contents for cell in tape._nodes[-1].vjp.__closure__]
+        assert any(c is tape._nodes[0].recipe for c in kept) is not through_reshape
+
+
+def test_a_layer_norm_output_read_by_three_projections_is_rebuilt_once(monkeypatch):
+    calls, affine = [], nc._affine
+    monkeypatch.setattr(nc, "_affine", lambda *a: calls.append(a) or affine(*a))
+    x, g, b, w, c = [Tensor(a, requires_grad=True)
+                     for a in _chain_arrays("layer_norm", np.float32, np.random.default_rng(11))]
+    with GradTape():
+        h = nc.layer_norm(x, g, b)
+        out = nc.add(nc.add(nc.linear(h, w, c), nc.linear(h, w, c)), nc.linear(h, w, c))
+        nc.backward_from(out, np.ones_like(out.data))
+    assert len(calls) == 2  # the forward pass and one rebuild
+    assert w.grad.data.tobytes() == (3 * (h.data.reshape(-1, 8).T @ np.ones((10, 6), np.float32))).tobytes()
+
+
+def test_linear_keeps_its_input_from_another_tape_or_a_consumed_one():
+    x, g, b, w, c = [Tensor(a, requires_grad=True)
+                     for a in _chain_arrays("layer_norm", np.float64, np.random.default_rng(9))]
+    with GradTape() as outer:
+        h = nc.layer_norm(x, g, b)
+        recipe = outer._nodes[0].recipe
+        with GradTape() as inner:
+            out = nc.linear(h, w, c)
+        nc.backward(nc.tensor_sum(h))
+        nc.linear(h, w, c)  # onto the consumed tape, whose record is gone
+    for tape in (inner, outer):
+        (node,) = tape._nodes
+        assert not any(cell.cell_contents is recipe for cell in node.vjp.__closure__)
+    cotangent = np.random.default_rng(10).normal(size=out.shape)
+    nc.backward_from(out, cotangent)
+    assert np.array_equal(w.grad.data, h.data.reshape(-1, 8).T @ cotangent.reshape(-1, 6))
+
+
+@pytest.mark.parametrize("name", list(_PRODUCERS))
+def test_linear_over_a_recipe_matches_finite_differences(name):
+    """Every input, w included, is a slice of one vector, so the producer
+    is taped and w's gradient comes from the recipe."""
+    rng = np.random.default_rng(7)
+    arrays = _chain_arrays(name, np.float64, rng)
+    bounds = np.cumsum([0] + [a.size for a in arrays])
+    weight = t64(rng.normal(size=(2, 5, 6)))
+
+    def loss(theta):
+        leaves = [nc.reshape(theta[lo:hi], a.shape) for lo, hi, a in zip(bounds, bounds[1:], arrays)]
+        return nc.tensor_sum(nc.mul(_chain(name)(*leaves), weight))
+
+    report = nc.grad_check(loss, t64(np.concatenate([a.ravel() for a in arrays])))
+    assert report.passed, report.max_rel_err
+
+
+@pytest.mark.parametrize("name", list(_PRODUCERS))
+def test_untaped_chain_registers_no_recipe_and_keeps_nothing(name):
+    """With no tape open, the chain leaves behind only its output: no
+    normalized input, softmax output or context is kept alive."""
+    import tracemalloc
+
+    leaves = [Tensor(a, requires_grad=True)
+              for a in _chain_arrays(name, np.float64, np.random.default_rng(8), batch=16, tokens=32)]
+    _chain(name)(*leaves)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _chain(name)(*leaves)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out._tape is None and not out.requires_grad
+    assert held < out.data.nbytes + 4096 < out.data.nbytes + leaves[0].data.nbytes, held
+
+
+def test_a_tape_open_on_one_thread_records_no_op_of_another():
+    """Another thread holds a tape open while this one embeds: the embedding
+    is untaped, and that tape stays empty."""
+    import threading
+
+    from gaitpt.model import GaitPTConfig, GaitPTModel
+
+    model = GaitPTModel(GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2,
+                                     sequence_length=20, output_dim=32), seed=0)
+    windows = np.random.default_rng(0).uniform(size=(8, 20, 18, 2)).astype(np.float32)
+    opened, release, tapes = threading.Event(), threading.Event(), []
+
+    def hold_a_tape_open():
+        with GradTape() as tape:
+            tapes.append(tape)
+            opened.set()
+            release.wait(timeout=60)
+
+    holder = threading.Thread(target=hold_a_tape_open)
+    holder.start()
+    try:
+        assert opened.wait(timeout=60)
+        emb = model.embed_batch(windows)
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+    assert emb._tape is None and not emb.requires_grad
+    assert len(tapes[0]) == 0
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [1, 2, 5, 17, 31, 33])
 def test_in_place_softmax_is_bitwise_softmax_with_signed_zero_ties(dtype, width):
@@ -689,19 +833,36 @@ def test_default_model_tape_holds_slots_leaves_or_nothing():
     assert [node.slot for node in tape._nodes] == list(range(len(tape)))
 
 
+def _fingerprint_tool():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_criterion6_micro_batch_records_a_pinned_number_of_tape_nodes():
     """One taped 8-window micro-batch: 196 nodes on the criterion-6 model and
-    364 on the default one. A count, so it does not depend on the host."""
+    364 on the default one, whose VJP closures hold 14,775,420 and
+    132,078,324 bytes besides the parameters (`tools/fingerprint.py`'s
+    `tape-bytes`; 17,767,548 and 158,786,292 when `linear` kept every
+    layer-norm output and attention context). Counts, so they do not depend
+    on the host."""
     from gaitpt.model import GaitPTConfig, GaitPTModel
 
+    tape_bytes = _fingerprint_tool().tape_bytes
     criterion6 = GaitPTConfig(dims=(16, 32, 64, 128), blocks=1, heads=2, sequence_length=20, output_dim=32)
     counts = []
     for cfg in (criterion6, GaitPTConfig()):
         windows = np.random.default_rng(0).uniform(size=(8, cfg.sequence_length, 18, 2)).astype(np.float32)
+        model = GaitPTModel(cfg, seed=0)
         with GradTape() as tape:
-            GaitPTModel(cfg, seed=0).embed_batch(windows)
-        counts.append(len(tape))
-    assert counts == [196, 364]
+            model.embed_batch(windows)
+        counts.append((len(tape), tape_bytes(tape, model.flat_parameters().data)))
+    assert counts == [(196, 14_775_420), (364, 132_078_324)]
 
 
 def test_backward_is_exact_when_dropped_outputs_free_their_ids():
@@ -742,7 +903,8 @@ def test_constant_operand_gets_no_gradient_and_grad_check_passes(name, f):
 
 def test_criterion6_training_step_traced_peak_is_bounded():
     """A P x K = 24 criterion-6 step keeps every micro-batch tape alive until
-    mining. It peaks at about 52 MB traced; tapes that held every
+    mining. It peaks at about 44 MB traced (52 MB while `linear` kept
+    layer-norm outputs and attention contexts); tapes that held every
     intermediate tensor peaked at 137 MB."""
     import tracemalloc
 

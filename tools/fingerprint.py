@@ -17,9 +17,11 @@ process with one BLAS thread, and one sha256 prefix is printed per output:
                     model under the ALL, HLR and OPPOSITE schemes in float32
                     and float64, on 5 windows (so the head pads its rows)
 
-A last `tape-nodes` line gives, per tree, the tape nodes one taped micro-batch
-of 8 windows records on the criterion-6 model and on the default model. These
-are counts, not digests, so they do not enter the exit status.
+Two last lines count, per tree, what one taped micro-batch of 8 windows
+records on the criterion-6 model and on the default model: `tape-nodes`, its
+tape nodes, and `tape-bytes`, the bytes of the arrays its VJP closures hold
+(see `tape_bytes`). These are counts, not digests, so they do not enter the
+exit status.
 
 The training ops are the first op of the tree's own `perfbench/workloads.py`
 `train-small` and `train-default` workloads at seed 1, and the criterion-6
@@ -122,17 +124,50 @@ def _schemes() -> str:
     return _digest(chunks)
 
 
-def tape_nodes() -> str:
-    """Tape nodes of one taped 8-window micro-batch, criterion-6 model/default model."""
+def _closure_arrays(fn):
+    """The arrays a function's closure holds, through nested functions (a
+    `linear` VJP's recipe, and the function a cached recipe wraps), tuples
+    and lists."""
+    todo = [fn]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj):
+            todo.extend(cell.cell_contents for cell in getattr(obj, "__closure__", None) or ())
+            if hasattr(obj, "__wrapped__"):
+                todo.append(obj.__wrapped__)
+
+
+def tape_bytes(tape, params: np.ndarray) -> int:
+    """Bytes of the arrays the VJP closures on `tape` hold, each base buffer
+    counted once and the parameter buffer `params` not at all. It depends
+    only on shapes and dtypes, not on the host."""
+    bases = {}
+    for node in tape._nodes:
+        for a in _closure_arrays(node.vjp):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a
+    return sum(a.nbytes for a in bases.values() if a is not params)
+
+
+def tape_counts() -> tuple[str, str]:
+    """Tape nodes and `tape_bytes` of one taped 8-window micro-batch, each as
+    criterion-6 model/default model."""
     from gaitpt import model, numcore
 
-    counts = []
+    nodes, sizes = [], []
     for cfg in (_small_model_config(), model.GaitPTConfig()):
         windows = np.random.default_rng(SEED).uniform(size=(8, cfg.sequence_length, 18, 2))
+        m = model.GaitPTModel(cfg, seed=SEED)
         with numcore.GradTape() as tape:
-            model.GaitPTModel(cfg, seed=SEED).embed_batch(windows.astype(cfg.np_dtype))
-        counts.append(str(len(tape)))
-    return "/".join(counts)
+            m.embed_batch(windows.astype(cfg.np_dtype))
+        nodes.append(str(len(tape)))
+        sizes.append(str(tape_bytes(tape, m.flat_parameters().data)))
+    return "/".join(nodes), "/".join(sizes)
 
 
 def tree_digests(tree: str) -> dict[str, str]:
@@ -164,7 +199,8 @@ def _run_tree(tree: str) -> dict[str, str]:
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": os.pathsep.join(map(str, path))}
     code = ("import sys, fingerprint\n"
             "for name, d in fingerprint.tree_digests(sys.argv[1]).items(): print(name, d)\n"
-            "print('tape-nodes', fingerprint.tape_nodes())")
+            "nodes, sizes = fingerprint.tape_counts()\n"
+            "print('tape-nodes', nodes)\nprint('tape-bytes', sizes)")
     with tempfile.TemporaryDirectory() as cwd:
         out = subprocess.run([sys.executable, "-c", code, str(root)], env=env, cwd=cwd,
                              check=True, capture_output=True, text=True).stdout
@@ -182,14 +218,15 @@ def main(argv: list[str]) -> int:
         except subprocess.CalledProcessError as e:
             print(f"{tree}: fingerprinting failed\n{e.stderr}", file=sys.stderr)
             return 2
-    print("output         " + "  ".join(f"{t:<16s}" for t in argv))
-    nodes = [r.pop("tape-nodes") for r in results]
+    print("output         " + "  ".join(f"{t:<20s}" for t in argv))
+    counts = {name: [r.pop(name, "-") for r in results] for name in ("tape-nodes", "tape-bytes")}
     same = True
     for name in results[0]:
         digests = [r.get(name, "-") for r in results]
         same &= len(set(digests)) == 1
-        print(f"{name:<14s} " + "  ".join(f"{d:<16s}" for d in digests))
-    print("tape-nodes     " + "  ".join(f"{n:<16s}" for n in nodes))
+        print(f"{name:<14s} " + "  ".join(f"{d:<20s}" for d in digests))
+    for name, values in counts.items():
+        print(f"{name:<14s} " + "  ".join(f"{v:<20s}" for v in values))
     return 0 if same else 1
 
 
