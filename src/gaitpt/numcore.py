@@ -37,13 +37,28 @@ and no attention context. Untaped ops register nothing.
 `linear` and `attention_core` are single nodes that write each activation
 once; their outputs and gradients are bitwise those of the compositions of
 primitives they replace, which the tests keep as oracles.
+
+`backward_from` takes one output or a sequence of outputs of distinct
+tapes, with their cotangents; training passes one per micro-batch. Each
+tape is replayed on its own, and its leaf gradients are added to `.grad`
+in sequence order, so the sums are bitwise those of one call per output.
+When the process may use two or more CPUs and BLAS started with one thread
+(the variable it reads, `OPENBLAS_NUM_THREADS` or `MKL_NUM_THREADS`, else
+`OMP_NUM_THREADS`, is 1), a module-level worker thread replays the
+odd-indexed tapes while the caller replays the even ones; otherwise the
+caller replays them all. A replay runs only VJPs and recipes, which call
+numpy and private helpers, so no public function of this module ever runs
+off the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
+from collections import deque
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,7 +78,8 @@ class GradTape:
     the ops of the thread that entered it, and ops on a thread with no open
     tape record nothing. A tape is single-writer: never record onto one tape
     from two concurrent contexts. Replaying (see `backward`) consumes the
-    record, releasing intermediate buffers as it walks.
+    record, releasing intermediate buffers as it walks; a consumed tape
+    that is still open records nothing more.
 
     The record holds no intermediate tensor: nodes name this tape's outputs
     by slot, hold only leaves, and their VJPs keep shapes and the arrays
@@ -212,9 +228,10 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def _recording(*inputs: Tensor) -> GradTape | None:
-    """The tape an op on `inputs` records onto, or None if it records nothing."""
+    """The tape an op on `inputs` records onto, or None if it records
+    nothing; a consumed tape counts as no tape."""
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is not None and not tape._consumed and any(t.requires_grad for t in inputs):
         return tape
     return None
 
@@ -240,7 +257,7 @@ def _recipe(x: Tensor, inputs: tuple[Tensor, ...]):
     live tape that produced x; otherwise None (a leaf, a tensor of another
     tape or of a consumed one, or an untaped op)."""
     tape = _recording(*inputs)
-    if tape is None or x._tape is not tape or tape._consumed:
+    if tape is None or x._tape is not tape:
         return None
     return tape._nodes[x._slot].recipe
 
@@ -781,23 +798,73 @@ def backward(loss: Tensor) -> None:
     backward_from(loss, np.ones_like(loss.data))
 
 
-def backward_from(output: Tensor, cotangent: np.ndarray) -> None:
+def backward_from(output: Tensor | Sequence[Tensor], cotangent) -> None:
     """Vector-Jacobian product: propagate `cotangent` (d loss / d output)
     back from `output` onto the requires_grad leaves.
 
-    Lets callers split one logical loss across several recorded subgraphs
-    (gradients accumulate across calls), e.g. micro-batched training.
-    """
-    tape = output._tape
-    if tape is None:
-        raise ConfigError("backward: tensor was not produced under an active GradTape")
-    if tape._consumed:
-        raise ConfigError("backward: this tape's record was already consumed")
-    tape._consumed = True
-    cotangent = np.asarray(cotangent, dtype=output.dtype)
-    if cotangent.shape != output.shape:
-        raise ShapeError(f"cotangent shape {cotangent.shape} != output shape {output.shape}")
+    `output` and `cotangent` may also be equal-length sequences: outputs of
+    distinct tapes and their cotangents, as when one logical loss is split
+    across micro-batches. Gradients accumulate across pairs and across
+    calls. Every pair is checked before any tape is consumed; a tape named
+    twice is refused, since replaying one record twice at once would race.
 
+    Each tape is replayed on its own and its leaf gradients are added to
+    `.grad` in pair order, each result dropped once added, so `.grad` holds
+    bitwise what one call per pair, in that order, would leave. With the
+    worker thread (see `_new_worker`), odd-indexed tapes replay on it while
+    the caller replays the even ones; without it, all replay on the caller.
+    A replay's exception is raised once the worker is idle, with the pairs
+    before it accumulated and every tape of the call consumed.
+    """
+    pairs = _checked_pairs(output, cotangent)
+    for out, _ in pairs:
+        out._tape._consumed = True
+    worker = _WORKER if len(pairs) > 1 else None
+    if worker is None:
+        for pair in pairs:
+            _accumulate(_replay(*pair))
+        return
+    pending = deque(worker.submit(_replay, *pair) for pair in pairs[1::2])
+    try:
+        for i, pair in enumerate(pairs):
+            _accumulate(pending.popleft().result() if i % 2 else _replay(*pair))
+    finally:
+        for future in pending:
+            future.cancel()
+        futures.wait(pending)
+
+
+def _checked_pairs(output, cotangent) -> list[tuple[Tensor, np.ndarray]]:
+    """`backward_from`'s (output, cotangent) pairs, each cotangent in its
+    output's dtype; raises, consuming nothing, unless every output comes from
+    its own unconsumed tape and matches its cotangent's shape."""
+    if isinstance(output, Tensor):
+        output, cotangent = [output], [cotangent]
+    output, cotangent = list(output), list(cotangent)
+    if len(output) != len(cotangent):
+        raise ShapeError(f"backward: {len(output)} outputs but {len(cotangent)} cotangents")
+    pairs, tapes = [], set()
+    for out, g in zip(output, cotangent):
+        tape = out._tape
+        if tape is None:
+            raise ConfigError("backward: tensor was not produced under an active GradTape")
+        if tape._consumed:
+            raise ConfigError("backward: this tape's record was already consumed")
+        if tape in tapes:
+            raise ConfigError("backward: two outputs of one tape in one call")
+        tapes.add(tape)
+        g = np.asarray(g, dtype=out.dtype)
+        if g.shape != out.shape:
+            raise ShapeError(f"cotangent shape {g.shape} != output shape {out.shape}")
+        pairs.append((out, g))
+    return pairs
+
+
+def _replay(output: Tensor, cotangent: np.ndarray) -> dict:
+    """Walk `output`'s tape in reverse from `cotangent`; returns the leaves'
+    gradients keyed by leaf. Touches no state but that tape's record and
+    calls no public function, so it may run on the worker thread."""
+    tape = output._tape
     # Cotangents keyed by slot for this tape's outputs, by the Tensor itself
     # (identity hash) for leaves; a slot's entry is popped at its node.
     grads: dict = {output._slot: cotangent}
@@ -811,10 +878,51 @@ def backward_from(output: Tensor, cotangent: np.ndarray) -> None:
         # release the record as we go so peak memory stays near the forward pass
         node.inputs = node.vjp = node.recipe = None
     tape._nodes.clear()
+    return grads  # only leaves are left
 
-    for t, g in grads.items():  # only leaves are left
+
+def _accumulate(grads: dict) -> None:
+    for t, g in grads.items():
         g = g.reshape(t.shape)
         t.grad = Tensor(g) if t.grad is None else Tensor(t.grad.data + g)
+
+
+def _blas_threads() -> str:
+    """The BLAS thread count the environment sets, or "" if it sets none:
+    OpenBLAS (numpy's wheels) reads OPENBLAS_NUM_THREADS and MKL reads
+    MKL_NUM_THREADS, each falling back to OMP_NUM_THREADS."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    own = "MKL_NUM_THREADS" if "mkl" in blas.get("name", "") else "OPENBLAS_NUM_THREADS"
+    return (os.environ.get(own) or os.environ.get("OMP_NUM_THREADS") or "").strip()
+
+
+def _pool() -> futures.ThreadPoolExecutor:
+    return futures.ThreadPoolExecutor(1, thread_name_prefix="numcore-backward")
+
+
+def _new_worker() -> futures.ThreadPoolExecutor | None:
+    """One thread that replays tapes for `backward_from`, or None.
+
+    It exists only when the process may use two or more CPUs and BLAS runs
+    one thread: a threaded BLAS already fills the CPUs, and a second
+    replay then slows each step. The thread starts at the first replay."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _pool() if cpus >= 2 and _blas_threads() == "1" else None
+
+
+_WORKER = _new_worker()
+
+
+def _restart_worker() -> None:
+    """A forked child inherits the pool but not its thread, and would wait
+    on it forever; give the child a pool of its own."""
+    global _WORKER
+    if _WORKER is not None:
+        _WORKER = _pool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_restart_worker)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 identity-balanced P x K batches, AdamW, and a decaying cyclic learning rate.
 
 The loss gradient is computed on the embedding matrix and pushed back
-through the network in micro-batches, in the parameters' dtype. Every
-micro-batch's tape stays alive until the whole P x K batch is mined, so peak
-memory grows with P x K; each tape keeps only what its VJPs read and
-rebuilds layer-norm outputs and attention contexts (see `numcore`), 126 MB
-for one default-model float32 micro-batch of 8 windows. Traced
-(tracemalloc), a default P x K = 32 step peaks at about 509 MB and the
-criterion-6 model's P x K = 24 step at about 44 MB, as
+through the network in micro-batches, in the parameters' dtype, by one
+`numcore.backward_from` call over all the micro-batch tapes. With one BLAS
+thread and two or more CPUs it replays every other tape on a second thread;
+the gradients are bitwise those of a serial replay. Every micro-batch's
+tape stays alive until the whole P x K batch is mined, so peak memory
+grows with P x K; each tape keeps only what its VJPs read and rebuilds
+layer-norm outputs and attention contexts (see `numcore`), 126 MB for one
+default-model float32 micro-batch of 8 windows. Traced (tracemalloc), a
+default P x K = 32 step peaks at about 509 MB (511 MB with the second
+thread) and the criterion-6 model's P x K = 24 step at about 44 MB, as
 `test_criterion6_training_step_traced_peak_is_bounded` measures (numpy 2.4,
 x86_64); README's Performance table gives step times and resident peaks.
 """
@@ -320,16 +323,12 @@ def _train_step(
     """Forward in micro-batches, mine, and push the loss gradient back.
     A non-finite loss raises a NumericError naming `where` before any
     parameter moves; so does a parameter the update left non-finite."""
-    batch = windows.shape[0]
-    chunks: list[tuple[Tensor, slice]] = []
-    parts = []
-    for start in range(0, batch, cfg.micro_batch):
-        stop = min(start + cfg.micro_batch, batch)
+    starts = range(0, windows.shape[0], cfg.micro_batch)
+    outputs = []
+    for start in starts:
         with GradTape():
-            emb = model.embed_batch(windows[start:stop])
-        chunks.append((emb, slice(start, stop)))
-        parts.append(emb.data)
-    embeddings = np.concatenate(parts, axis=0)
+            outputs.append(model.embed_batch(windows[start : start + cfg.micro_batch]))
+    embeddings = np.concatenate([emb.data for emb in outputs], axis=0)
 
     triplets, d = batch_hard_mine(embeddings, labels)
     a_idx, p_idx, n_idx = (list(t) for t in zip(*triplets))
@@ -348,8 +347,7 @@ def _train_step(
     cotangent = emb_leaf.grad.data.astype(embeddings.dtype)
 
     model.zero_grad()
-    for emb, sl in chunks:
-        nc.backward_from(emb, cotangent[sl])
+    nc.backward_from(outputs, [cotangent[start : start + cfg.micro_batch] for start in starts])
     grads = {
         name: p.grad.data for name, p in model.params.items() if p.grad is not None
     }

@@ -2,7 +2,9 @@
 synthetic datasets that keep every test fast."""
 
 import numpy as np
+import pytest
 
+from gaitpt import numcore as nc
 from gaitpt.model import GaitPTConfig
 from gaitpt.skeleton import Condition
 from gaitpt.synthgait import SynthConfig, generate_split_sequences
@@ -56,3 +58,13 @@ def assert_parameters_tile_the_flat_buffer(model):
         assert data.ctypes.data == flat.ctypes.data + start * flat.itemsize, p.name
         start += data.size
     assert start == flat.size
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Turns on the thread that replays tapes for `numcore.backward_from`,
+    whatever the environment, and yields it."""
+    pool = nc._pool()
+    monkeypatch.setattr(nc, "_WORKER", pool)
+    yield pool
+    pool.shutdown()

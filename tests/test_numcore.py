@@ -1,7 +1,9 @@
 """Tensor engine tests: op semantics, gradient fidelity against central
 finite differences, and the attention/normalization building blocks."""
 
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -529,10 +531,10 @@ def test_linear_keeps_its_input_from_another_tape_or_a_consumed_one():
         with GradTape() as inner:
             out = nc.linear(h, w, c)
         nc.backward(nc.tensor_sum(h))
-        nc.linear(h, w, c)  # onto the consumed tape, whose record is gone
-    for tape in (inner, outer):
-        (node,) = tape._nodes
-        assert not any(cell.cell_contents is recipe for cell in node.vjp.__closure__)
+        nc.linear(h, w, c)  # the open tape is consumed, so this records nothing
+    (node,) = inner._nodes
+    assert not any(cell.cell_contents is recipe for cell in node.vjp.__closure__)
+    assert len(outer) == 0
     cotangent = np.random.default_rng(10).normal(size=out.shape)
     nc.backward_from(out, cotangent)
     assert np.array_equal(w.grad.data, h.data.reshape(-1, 8).T @ cotangent.reshape(-1, 6))
@@ -698,6 +700,125 @@ def test_backward_on_consumed_tape_is_rejected():
         nc.backward(out)
         with pytest.raises(ConfigError):
             nc.backward(out)
+
+
+def test_ops_after_backward_inside_an_open_tape_record_nothing():
+    """A consumed tape counts as no tape: ops run after its backward pass
+    inside its `with` block are untaped and keep nothing alive."""
+    leaf = Tensor(np.ones(3), requires_grad=True)
+    with GradTape() as tape:
+        nc.backward(nc.tensor_sum(leaf))
+        out = nc.gelu(nc.mul(leaf, leaf))
+    assert len(tape) == 0
+    assert out._tape is None and not out.requires_grad
+    assert np.array_equal(leaf.grad.data, np.ones(3))
+
+
+def _micro_batch_tapes(n, seed=0):
+    """`n` tapes of GELU over a linear with a shared weight and bias, their
+    outputs and cotangents, and the two leaves; one seed gives one set of
+    arrays."""
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    outputs, cotangents = [], []
+    for _ in range(n):
+        with GradTape():
+            outputs.append(nc.gelu(nc.linear(Tensor(rng.normal(size=(3, 5))), w, b)))
+        cotangents.append(rng.normal(size=(3, 4)))
+    return outputs, cotangents, (w, b)
+
+
+def _assert_serial_grads(leaves, n, replayed):
+    """`leaves` hold bitwise the gradients that the leaves of
+    `_micro_batch_tapes(n)` get from one `backward_from` call for each of
+    its first `replayed` pairs, in order."""
+    outputs, cotangents, serial = _micro_batch_tapes(n)
+    for out, g in list(zip(outputs, cotangents))[:replayed]:
+        nc.backward_from(out, g)
+    for leaf, expected in zip(leaves, serial):
+        assert (leaf.grad is None) == (expected.grad is None)
+        if leaf.grad is not None:
+            assert leaf.grad.data.tobytes() == expected.grad.data.tobytes()
+
+
+@pytest.fixture(params=["inline", "worker"])
+def replay_worker(request, monkeypatch):
+    """Runs the test with `backward_from`'s worker thread off, then on."""
+    if request.param == "worker":
+        return request.getfixturevalue("worker")
+    monkeypatch.setattr(nc, "_WORKER", None)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_backward_from_a_sequence_is_bitwise_one_call_per_pair(replay_worker, n):
+    """Under a short thread switch interval, so the two replays interleave
+    at fine grain."""
+    outputs, cotangents, leaves = _micro_batch_tapes(n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        nc.backward_from(outputs, cotangents)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_serial_grads(leaves, n, n)
+    assert all(out._tape._consumed and len(out._tape) == 0 for out in outputs)
+
+
+@pytest.mark.parametrize("fault", ["repeated tape", "consumed tape", "shape mismatch", "count mismatch"])
+def test_backward_from_refuses_a_bad_pair_and_consumes_no_tape(replay_worker, fault):
+    outputs, cotangents, leaves = _micro_batch_tapes(4)
+    with GradTape():
+        spent = nc.tensor_sum(Tensor(np.ones(2), requires_grad=True))
+    nc.backward(spent)
+    bad_outputs, bad_cotangents = list(outputs), list(cotangents)
+    if fault == "repeated tape":
+        bad_outputs[3] = outputs[1]
+    elif fault == "consumed tape":
+        bad_outputs[3], bad_cotangents[3] = spent, np.ones(())
+    elif fault == "shape mismatch":
+        bad_cotangents[3] = cotangents[3][:2]
+    else:
+        bad_cotangents.pop()
+    with pytest.raises((ConfigError, ShapeError)):
+        nc.backward_from(bad_outputs, bad_cotangents)
+    assert not any(out._tape._consumed for out in outputs)
+    assert [len(out._tape) for out in outputs] == [2, 2, 2, 2]
+    _assert_serial_grads(leaves, 4, 0)
+    nc.backward_from(outputs, cotangents)  # the record is intact
+    _assert_serial_grads(leaves, 4, 4)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2, 3])
+def test_a_replay_error_is_raised_once_the_worker_is_idle(replay_worker, failing):
+    """Pair `failing`'s VJP raises and every other pair's replay sleeps, so
+    the worker is mid-replay when the error reaches the caller: every
+    replay that started has finished before `backward_from` raises. The
+    pairs before the failing one are accumulated as one call per pair would
+    leave them, and no later one."""
+    import time
+
+    outputs, cotangents, leaves = _micro_batch_tapes(5)
+    started, finished = [], []
+
+    def fail(g):
+        raise NumericError("injected")
+
+    def slow(g, vjp, i):
+        started.append(i)
+        time.sleep(0.1)
+        finished.append(i)
+        return vjp(g)
+
+    for i, out in enumerate(outputs):
+        node = out._tape._nodes[-1]
+        node.vjp = fail if i == failing else functools.partial(slow, vjp=node.vjp, i=i)
+    with pytest.raises(NumericError, match="injected"):
+        nc.backward_from(outputs, cotangents)
+    assert sorted(finished) == sorted(started)
+    assert all(out._tape._consumed for out in outputs)
+    _assert_serial_grads(leaves, 5, failing)
 
 
 def test_backward_is_deterministic():

@@ -1,13 +1,22 @@
 """Triplet loss, batch-hard mining, AdamW, the cyclic schedule, and the
 training loop's determinism and learning behavior."""
 
+import functools
+import inspect
 import io
 import math
+import os
+import signal
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import assert_parameters_tile_the_flat_buffer, fast_train_config, tiny_config, tiny_splits
+from conftest import (
+    assert_parameters_tile_the_flat_buffer, fast_train_config, random_windows, tiny_config, tiny_splits,
+)
 
 from gaitpt import numcore as nc
 from gaitpt.dataio import config_from_dict
@@ -22,6 +31,7 @@ from gaitpt.training import (
     cyclic_lr,
     euclidean_distance,
     pairwise_distances,
+    _train_step,
     train,
     triplet_loss,
 )
@@ -330,6 +340,78 @@ def test_train_stops_at_non_finite_parameters():
         train(model, splits["train"], cfg, log_stream=io.StringIO())
     bad = [k for k, p in model.params.items() if not np.isfinite(p.value.data).all()]
     assert f"parameter {bad[0]} is not finite" in str(info.value)
+
+
+def _micro_batch_step(model, micro_batches, seed=0):
+    """One `_train_step` of `model` over `micro_batches` micro-batches of 4
+    windows, 2 per identity; returns its loss."""
+    windows = random_windows(4 * micro_batches, model.config.sequence_length,
+                             np.random.default_rng(seed), model.config.np_dtype)
+    labels = [i // 2 for i in range(len(windows))]
+    loss, _ = _train_step(model, windows, labels, fast_train_config(micro_batch=4),
+                          OptimizerState.for_params(model.params), 1e-3, "step")
+    return loss
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_train_step_is_bitwise_the_same_with_and_without_the_worker(monkeypatch, worker, dtype):
+    after = []
+    for pool in (None, worker):
+        monkeypatch.setattr(nc, "_WORKER", pool)
+        model = GaitPTModel(tiny_config(dtype=dtype), seed=3)
+        _micro_batch_step(model, 3)
+        after.append(model.flat_parameters().data.tobytes())
+    assert after[0] == after[1]
+
+
+def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker):
+    """perfbench's tracer keeps one span stack for all threads, so traced
+    code must stay on the calling thread. Every public numcore function is
+    wrapped as the tracer wraps it, under every name the package binds it
+    to; only the private replays may run on the worker."""
+    calls, replays = [], []
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return traced
+
+    wrappers = {id(fn): wrap(fn) for attr, fn in vars(nc).items()
+                if not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == nc.__name__}
+    for name, module in list(sys.modules.items()):
+        if name == "gaitpt" or name.startswith("gaitpt."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    replay = nc._replay
+    monkeypatch.setattr(nc, "_replay", lambda *pair: replays.append(threading.current_thread()) or replay(*pair))
+
+    _micro_batch_step(GaitPTModel(tiny_config(), seed=0), 3)
+    assert {"linear", "backward_from"} <= {name for name, _ in calls}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+    assert {thread is threading.main_thread() for thread in replays} == {True, False}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method, Linux")
+def test_a_child_forked_after_a_step_with_the_worker_trains(worker):
+    model = GaitPTModel(tiny_config(), seed=0)
+    _micro_batch_step(model, 2)
+    assert worker._threads
+    with warnings.catch_warnings():  # Python 3.12 warns when a threaded process forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(60)  # a hung child dies rather than hang the suite
+            fresh = nc._WORKER is not None and nc._WORKER is not worker
+            status = 0 if fresh and math.isfinite(_micro_batch_step(model, 2, seed=1)) else 1
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_train_rejects_insufficient_identities():
