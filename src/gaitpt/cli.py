@@ -221,6 +221,10 @@ def _gradcheck_cases(rng: np.random.Generator, dtype=np.float64):
         ("layer_norm", lambda x: sq(nc.layer_norm(x, att.bq + 1.0, att.bk)), t(3, 4)),
         ("multi_head_attention", lambda x: sq(nc.multi_head_attention(x, att, 2)), t(2, 3, 4)),
     ]
+    # drawn after the other cases' tensors, whose draws therefore do not depend on it
+    blocks = [nc.EncoderBlock(*(t(*shape) for shape in [(4,)] * 2 + [(4, 4)] * 4 + [(4,)] * 6
+                                + [(4, 8), (8,), (8, 4), (4,)])) for _ in range(2)]
+    cases.append(("encoder_blocks", lambda x: sq(nc.encoder_blocks(x, blocks, 2)), t(3, 3, 4)))
     return cases
 
 

@@ -15,7 +15,6 @@ from io import StringIO
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.special
 
 from .errors import ConfigError, InputError, ProtocolError, ShapeError, StatisticsError, checked_int
 from .model import GaitPTConfig, GaitPTModel
@@ -237,8 +236,8 @@ def welch_t_test(xs, ys) -> WelchResult:
     """Two-sample t-test without the equal-variance assumption.
 
     Returns the Welch statistic, Welch-Satterthwaite degrees of freedom, and
-    the two-sided p-value. Needs >= 2 points per sample and nonzero variance
-    in at least one of them.
+    the two-sided p-value (scipy's Student t CDF). Needs >= 2 points per
+    sample and nonzero variance in at least one of them.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -254,7 +253,9 @@ def welch_t_test(xs, ys) -> WelchResult:
     df = (sx + sy) ** 2 / (
         (sx * sx) / (x.size - 1) + (sy * sy) / (y.size - 1)
     )
-    return WelchResult(t=float(t), df=float(df), p=float(2.0 * scipy.special.stdtr(df, -abs(t))))
+    from scipy.special import stdtr  # imported here, so importing this module loads no scipy
+
+    return WelchResult(t=float(t), df=float(df), p=float(2.0 * stdtr(df, -abs(t))))
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,9 @@ def _l2_normalize(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 _ATTENTION_PARAMS = tuple(f.name for f in fields(AttentionWeights))  # wq..wo, then bq..bo
+# one block's parameter names, in `numcore.EncoderBlock` order
+_BLOCK_PARAMS = ("ln1.g", "ln1.b", *(f"attn.{name}" for name in _ATTENTION_PARAMS),
+                 "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 def parameter_table(config: GaitPTConfig) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
@@ -236,6 +239,11 @@ class GaitPTModel:
     another thread holds a tape open: tapes are per thread, so an
     embedding call records nothing on it (tested). Training mutates
     parameter values and must be single-writer.
+
+    Each encoder's block stack is one `numcore.encoder_blocks` call, which
+    runs half of its sequences on numcore's worker thread when that exists
+    (one BLAS thread, two or more CPUs). Embeddings and gradients are
+    bitwise the same with and without it (tested).
     """
 
     def __init__(self, config: GaitPTConfig, seed: int = 0):
@@ -308,21 +316,6 @@ class GaitPTModel:
         cls = nc.broadcast_to(p[f"{base}.cls"], (rows, 1, c))
         return nc.add(nc.concat([cls, x], axis=1), pos[: t + 1])
 
-    def _encoder(self, x: Tensor, stage: StageConfig, kind: str,
-                 p: dict[str, Tensor]) -> Tensor:
-        for i in range(stage.blocks):
-            blk = f"stage{stage.index}.{kind}.block{i}"
-            h = nc.layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            weights = AttentionWeights(**{name: p[f"{blk}.attn.{name}"] for name in _ATTENTION_PARAMS})
-            h = nc.multi_head_attention(h, weights, stage.heads)
-            x = nc.add(x, h)
-            h = nc.layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
-            h = nc.linear(h, p[f"{blk}.ffn.w1"], p[f"{blk}.ffn.b1"])
-            h = nc.gelu(h)
-            h = nc.linear(h, p[f"{blk}.ffn.w2"], p[f"{blk}.ffn.b2"])
-            x = nc.add(x, h)
-        return x
-
     def spatial_attention_stage(self, feat, stage_index: int, params=None):
         """Attention across the tokens of each frame independently.
 
@@ -343,8 +336,10 @@ class GaitPTModel:
         """One encoder over (batch, frames, tokens, C) features. Spatial
         attention runs along the token axis of each frame; temporal attention
         swaps the two middle axes first, so it runs along the frame axis of
-        each token, and swaps them back after. The class column and the tokens
-        are slices of one (batch, rows, length + 1, C) view of the output."""
+        each token, and swaps them back after. The block stack is one
+        `numcore.encoder_blocks` node over the batch x rows sequences. The
+        class column and the tokens are slices of one (batch, rows, length +
+        1, C) view of its output."""
         if not 1 <= stage_index <= 4:
             raise ConfigError(f"stage index must be 1..4, got {stage_index}")
         stage = self.config.stages[stage_index - 1]
@@ -357,9 +352,11 @@ class GaitPTModel:
         if kind == "temporal":
             x = nc.transpose(x, (0, 2, 1, 3))
         b, rows, length, c = x.shape
-        flat = nc.reshape(x, (b * rows, length, c))
-        flat = self._with_class(flat, f"stage{stage_index}.{kind}", p)
-        out = nc.reshape(self._encoder(flat, stage, kind, p), (b, rows, length + 1, c))
+        base = f"stage{stage_index}.{kind}"
+        flat = self._with_class(nc.reshape(x, (b * rows, length, c)), base, p)
+        blocks = [nc.EncoderBlock(*(p[f"{base}.block{i}.{name}"] for name in _BLOCK_PARAMS))
+                  for i in range(stage.blocks)]
+        out = nc.reshape(nc.encoder_blocks(flat, blocks, stage.heads), (b, rows, length + 1, c))
         cls = nc.mean(out[:, :, 0, :], axis=1)
         toks = out[:, :, 1:, :]
         if kind == "temporal":

@@ -11,9 +11,10 @@ tape's backward runs in its parameters' dtype: every VJP returns
 cotangents in the dtype it received, so a float32 model never computes its
 backward pass in float64.
 
-GELU's normal CDF comes from ``scipy.special.erf`` in float64. In float32 it
-is a clamped rational approximation evaluated with in-place numpy ufuncs,
-within 5e-7 * max(1, |x|) of the float64 GELU (tested).
+GELU's normal CDF comes from ``scipy.special.erf`` in float64, imported at
+the first float64 GELU. In float32 it is a clamped rational approximation
+evaluated with in-place numpy ufuncs, within 5e-7 * max(1, |x|) of the
+float64 GELU (tested).
 
 A tape retains only what its backward pass reads. Each node keeps its
 output's slot (its own index on the tape) and, per input, the slot of an
@@ -35,20 +36,34 @@ that recipe instead of the input, so the tape holds no layer-norm output
 and no attention context. Untaped ops register nothing.
 
 `linear` and `attention_core` are single nodes that write each activation
-once; their outputs and gradients are bitwise those of the compositions of
-primitives they replace, which the tests keep as oracles.
+once, and `encoder_blocks` runs a whole pre-norm block stack as one node.
+Their outputs, gradients and kept arrays are bitwise those of the
+compositions of primitives they replace, which the tests keep as oracles.
+The public primitives and `encoder_blocks` call the same private kernels
+(`_layer_norm_into`, `_gemm_bias`, `_attention_into`, `_gelu_into`) and
+VJPs (`_layer_norm_vjp`, `_linear_vjp`, `_attention_vjp`).
 
 `backward_from` takes one output or a sequence of outputs of distinct
 tapes, with their cotangents; training passes one per micro-batch. Each
 tape is replayed on its own, and its leaf gradients are added to `.grad`
 in sequence order, so the sums are bitwise those of one call per output.
+
 When the process may use two or more CPUs and BLAS started with one thread
 (the variable it reads, `OPENBLAS_NUM_THREADS` or `MKL_NUM_THREADS`, else
-`OMP_NUM_THREADS`, is 1), a module-level worker thread replays the
-odd-indexed tapes while the caller replays the even ones; otherwise the
-caller replays them all. A replay runs only VJPs and recipes, which call
-numpy and private helpers, so no public function of this module ever runs
-off the calling thread.
+`OMP_NUM_THREADS`, is 1), a module-level worker thread runs two kinds of
+work; otherwise the caller runs it all:
+
+- `backward_from` replays the odd-indexed tapes on it while the caller
+  replays the even ones;
+- `encoder_blocks` runs sequences [n // 2, n) of its n on it while the
+  caller runs the rest. Sequences never interact, and each row's result
+  does not depend on how many rows share the call, so the bits do not
+  change.
+
+The worker runs only VJPs, recipes and private kernels, which call numpy
+and other private helpers, so no public function of this module ever runs
+off the calling thread, and work on the worker never waits for the
+worker.
 """
 
 from __future__ import annotations
@@ -57,13 +72,12 @@ import functools
 import math
 import os
 import threading
-from collections import deque
+from collections import deque, namedtuple
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import ConfigError, NumericError, ShapeError, checked_int, checked_real
 
@@ -365,7 +379,7 @@ _ERF_EVEN = (-1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03
 _PHI_P = tuple(np.float32(0.5 * a / math.sqrt(2.0) / 2.0**k) for k, a in enumerate(_ERF_ODD))
 _PHI_Q = tuple(np.float32(b / 2.0**k) for k, b in enumerate(_ERF_EVEN))
 _PHI_EDGE = np.float32(4.0 * math.sqrt(2.0))
-GELU_BLOCK = 1 << 15  # float32 elements per block: each buffer is 128 KB and stays in cache
+GELU_BLOCK = 1 << 16  # float32 elements per block: each buffer is 256 KB and stays in cache
 
 
 def _horner(coeffs, x2: np.ndarray, acc: np.ndarray) -> None:
@@ -388,13 +402,24 @@ def _gelu_slope(x: np.ndarray, cdf: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _gelu_f32(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """x * Phi(x) of float32 `x` and, if `slope`, GELU's slope Phi(x) + x pdf(x),
-    in blocks of `GELU_BLOCK`. Phi lives only in block scratch, so the result
-    arrays are the only full-size allocations."""
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    d = np.empty_like(flat) if slope else None
+def _gelu_into(x: np.ndarray, y: np.ndarray, d: np.ndarray | None) -> None:
+    """GELU x * Phi(x) of array `x` into `y` and, unless `d` is None, its
+    slope Phi(x) + x pdf(x) into `d`; both are contiguous, of x's shape.
+    With no slope, `y` may be `x` itself.
+
+    float64 takes Phi from `scipy.special.erf`, imported here so that only
+    float64 GELU loads scipy. float32 works in blocks of `GELU_BLOCK`, so Phi
+    lives only in block scratch and `y` and `d` are its only full-size
+    arrays."""
+    if x.dtype != np.float32:
+        from scipy.special import erf
+
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(np.asarray(2.0, dtype=x.dtype))))
+        np.multiply(x, cdf, out=y)
+        if d is not None:
+            _gelu_slope(x, cdf, d)
+        return
+    flat, y, d = x.reshape(-1), y.reshape(-1), None if d is None else d.reshape(-1)
     scratch = np.empty((4, min(flat.size, GELU_BLOCK)), np.float32)
     for lo in range(0, flat.size, GELU_BLOCK):
         xb = flat[lo : lo + GELU_BLOCK]
@@ -407,36 +432,29 @@ def _gelu_f32(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None
         np.divide(p, q, out=c)
         c += 0.5
         np.clip(c, 0.0, 1.0, out=c)  # the rational overshoots [0, 1] by ~2e-7 at the edges
-        np.multiply(xb, c, out=out[lo : lo + xb.size])
-        if slope:
+        np.multiply(xb, c, out=y[lo : lo + xb.size])
+        if d is not None:
             _gelu_slope(xb, c, d[lo : lo + xb.size])
-    return out.reshape(x.shape), None if d is None else d.reshape(x.shape)
 
 
 def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF.
 
     float64 takes Phi from `scipy.special.erf`; float32 from a clamped
-    rational (see `_gelu_f32`) within 5e-7 * max(1, |x|) of the float64
+    rational (see `_gelu_into`) within 5e-7 * max(1, |x|) of the float64
     value. Untaped, GELU allocates only its output; taped, also its slope.
     """
     a = _as_tensor(a)
     x = a.data
     taped = _recording(a) is not None
-    if x.dtype == np.float32:
-        y, d = _gelu_f32(x, taped)
-    else:
-        cdf = 0.5 * (1.0 + _erf(x / np.sqrt(np.asarray(2.0, dtype=x.dtype))))
-        y = x * cdf
-        d = _gelu_slope(x, cdf, np.empty_like(x)) if taped else None
+    y = np.empty_like(x)
+    d = np.empty_like(x) if taped else None
+    _gelu_into(x, y, d)
     out = Tensor(y)
     if not taped:
         return out
-
-    def vjp(g):  # the VJP keeps the slope d alone, not x and cdf; g has x's dtype
-        return (np.multiply(d, g, out=d),)
-
-    return _record(out, (a,), vjp)
+    # the VJP keeps the slope d alone, not x and cdf; g has x's dtype
+    return _record(out, (a,), lambda g: (np.multiply(d, g, out=d),))
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +612,29 @@ def linear(x, w, b) -> Tensor:
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape} does not match weight {w.shape}")
     x2 = x.data.reshape(-1, x.shape[-1])
-    y = x2 @ w.data
-    y += b.data
-    out = Tensor(y.reshape(x.shape[:-1] + (w.shape[1],)))
+    out = Tensor(_gemm_bias(x2, w.data, b.data).reshape(x.shape[:-1] + (w.shape[1],)))
     sx, sb = x.shape, b.shape
     # as in `matmul`, each operand is kept only when the other's gradient is needed
     xa = (_recipe(x, (x, w, b)) or (lambda: x2)) if w.requires_grad else None
     wa = w.data if x.requires_grad else None
+    return _record(out, (x, w, b), lambda g: _linear_vjp(g, xa, wa, sx, sb))
 
-    def vjp(g):
-        g = g.reshape(-1, g.shape[-1])
-        gx = None if wa is None else (g @ np.swapaxes(wa, -1, -2)).reshape(sx)
-        gw = None if xa is None else np.swapaxes(xa().reshape(-1, sx[-1]), -1, -2) @ g
-        return gx, gw, _unbroadcast(g, sb)
 
-    return _record(out, (x, w, b), vjp)
+def _gemm_bias(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`linear`'s output on a 2-D input: one GEMM, the bias added in place."""
+    y = x2 @ w
+    y += b
+    return y
+
+
+def _linear_vjp(g, xa, wa, sx, sb) -> tuple:
+    """`linear`'s cotangents for x, w and b from the output's `g`. `xa`
+    returns the input (None: w needs no gradient), `wa` is the weight
+    (None: x needs none), `sx` and `sb` are the input and bias shapes."""
+    g = g.reshape(-1, g.shape[-1])
+    gx = None if wa is None else (g @ np.swapaxes(wa, -1, -2)).reshape(sx)
+    gw = None if xa is None else np.swapaxes(xa().reshape(-1, sx[-1]), -1, -2) @ g
+    return gx, gw, _unbroadcast(g, sb)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -636,6 +662,32 @@ def _affine(xn: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return y
 
 
+def _layer_norm_into(x: np.ndarray, gain, bias, xn: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Layer norm of array `x` over its last axis. Writes the normalized
+    input into `xn` (x's shape) and the inverse deviation into `inv` (x's
+    shape with a last extent of 1); returns the output."""
+    mu = x.mean(axis=-1, keepdims=True)
+    np.subtract(x, mu, out=xn)
+    var = (xn * xn).mean(axis=-1, keepdims=True)
+    np.divide(1.0, np.sqrt(var + 1e-5), out=inv)
+    xn *= inv  # the centred input, normalized in place
+    return _affine(xn, gain, bias)
+
+
+def _layer_norm_vjp(g, xn, inv, gain) -> tuple:
+    """`layer_norm`'s cotangents for x, gain and bias from the output's `g`."""
+    n = xn.shape[-1]
+    dgain = (g * xn).reshape(-1, n).sum(axis=0)
+    dbias = g.reshape(-1, n).sum(axis=0)
+    dxn = g * gain
+    dx = inv * (
+        dxn
+        - dxn.mean(axis=-1, keepdims=True)
+        - xn * (dxn * xn).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgain, dbias
+
+
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -649,42 +701,25 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"layer_norm gain/bias must match last extent {x.shape[-1]}, "
             f"got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xn = x.data - mu
-    var = (xn * xn).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xn *= inv  # the centred input, normalized in place
-    out = Tensor(_affine(xn, gain.data, bias.data))
-    n = x.shape[-1]
     w, shift = gain.data, bias.data
-
-    def vjp(g):
-        dgain = (g * xn).reshape(-1, n).sum(axis=0)
-        dbias = g.reshape(-1, n).sum(axis=0)
-        dxn = g * w
-        dx = inv * (
-            dxn
-            - dxn.mean(axis=-1, keepdims=True)
-            - xn * (dxn * xn).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgain, dbias
-
-    return _record(out, (x, gain, bias), vjp, lambda: _affine(xn, w, shift))
+    xn, inv = _norm_arrays(x.shape, x.dtype)
+    out = Tensor(_layer_norm_into(x.data, w, shift, xn, inv))
+    return _record(out, (x, gain, bias), lambda g: _layer_norm_vjp(g, xn, inv, w),
+                   lambda: _affine(xn, w, shift))
 
 
 def _row_max_min(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The max and min over the last axis of `x`, by a loop over columns.
+    """The max and min over the last axis of `x`, reduced along the first
+    axis of a copy that moves the last axis to the front.
 
     They equal x.max(axis=-1) and x.min(axis=-1), except that a zero may
     differ in sign. Attention rows are tokens + 1 wide, 3 to 31 here, where
-    the loop is 3-20x faster than numpy's reduction; at about 128 wide it
-    is 3x slower.
+    numpy's reduction along a short last axis is 2-20x slower than three
+    passes over whole arrays (and a loop over columns makes 2 calls per
+    column, each a GIL hand-off when the worker runs the other half).
     """
-    top, low = x[..., 0].copy(), x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(top, x[..., j], out=top)
-        np.minimum(low, x[..., j], out=low)
-    return top, low
+    front = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return np.maximum.reduce(front, axis=0), np.minimum.reduce(front, axis=0)
 
 
 def _softmax_last_axis_(s: np.ndarray) -> None:
@@ -710,6 +745,45 @@ def _merge_heads(p: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((p @ vh).transpose(0, 2, 1, 3)).reshape(b, t, h * hd)
 
 
+def _head_arrays(b: int, t: int, heads: int, hd: int, dtype) -> list[np.ndarray]:
+    """Empty buffers for the attention core's split q (b, h, t, hd), kᵀ
+    (b, h, hd, t) and v and its softmax output (b, h, t, t), then its score
+    scale 1 / sqrt(hd) as a 0-d array."""
+    return [*(np.empty(shape, dtype) for shape in
+              ((b, heads, t, hd), (b, heads, hd, t), (b, heads, t, hd), (b, heads, t, t))),
+            np.asarray(1.0 / math.sqrt(hd), dtype=dtype)]
+
+
+def _attention_into(q, k, v, qh, kt, vh, p, scale) -> np.ndarray:
+    """The attention core of arrays q, k, v (b, t, C). Writes the heads of q,
+    kᵀ and v into `qh`, `kt` and `vh` and the softmax into `p` (see
+    `_head_arrays`); returns the merged context."""
+    b, heads, t, hd = qh.shape
+    for x, dst, axes in ((q, qh, (0, 2, 1, 3)), (k, kt, (0, 2, 3, 1)), (v, vh, (0, 2, 1, 3))):
+        np.copyto(dst, x.reshape(b, t, heads, hd).transpose(axes))
+    np.matmul(qh, kt, out=p)
+    p *= scale
+    _softmax_last_axis_(p)
+    return _merge_heads(p, vh)
+
+
+def _attention_vjp(g, qh, kt, vh, p, scale) -> tuple:
+    """The attention core's cotangents for q, k and v from the context's `g`,
+    by the expressions of the head split, matmul, mul, `softmax` and merge."""
+    b, heads, t, hd = qh.shape
+    c = heads * hd
+    g = np.transpose(g.reshape(b, t, heads, hd), (0, 2, 1, 3))
+    gp = g @ np.swapaxes(vh, -1, -2)
+    gv = np.swapaxes(p, -1, -2) @ g
+    dot = (gp * p).sum(axis=-1, keepdims=True)
+    gs = p * (gp - dot) * scale
+    gq = gs @ np.swapaxes(kt, -1, -2)
+    gkt = np.swapaxes(qh, -1, -2) @ gs
+    return (np.transpose(gq, (0, 2, 1, 3)).reshape(b, t, c),
+            np.transpose(gkt, (0, 3, 1, 2)).reshape(b, t, c),
+            np.transpose(gv, (0, 2, 1, 3)).reshape(b, t, c))
+
+
 def attention_core(q, k, v, heads: int) -> Tensor:
     """Scaled dot-product attention over `heads` heads of projected tokens.
 
@@ -729,31 +803,10 @@ def attention_core(q, k, v, heads: int) -> Tensor:
     b, t, c = q.shape
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"model width {c} is not divisible by head count {heads}")
-    hd = c // heads
-
-    def split(x, axes):  # (b, t, C) -> a contiguous (b, t, h, hd) permutation
-        return np.ascontiguousarray(x.data.reshape(b, t, heads, hd).transpose(axes))
-
-    qh, kt, vh = split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1)), split(v, (0, 2, 1, 3))
-    scale = np.asarray(1.0 / math.sqrt(hd), dtype=q.dtype)
-    p = qh @ kt
-    p *= scale
-    _softmax_last_axis_(p)
-    out = Tensor(_merge_heads(p, vh))
-
-    def vjp(g):
-        g = np.transpose(g.reshape(b, t, heads, hd), (0, 2, 1, 3))
-        gp = g @ np.swapaxes(vh, -1, -2)
-        gv = np.swapaxes(p, -1, -2) @ g
-        dot = (gp * p).sum(axis=-1, keepdims=True)
-        gs = p * (gp - dot) * scale
-        gq = gs @ np.swapaxes(kt, -1, -2)
-        gkt = np.swapaxes(qh, -1, -2) @ gs
-        return (np.transpose(gq, (0, 2, 1, 3)).reshape(b, t, c),
-                np.transpose(gkt, (0, 3, 1, 2)).reshape(b, t, c),
-                np.transpose(gv, (0, 2, 1, 3)).reshape(b, t, c))
-
-    return _record(out, (q, k, v), vjp, lambda: _merge_heads(p, vh))
+    qh, kt, vh, p, scale = _head_arrays(b, t, heads, c // heads, np.result_type(q.data, k.data, v.data))
+    out = Tensor(_attention_into(q.data, k.data, v.data, qh, kt, vh, p, scale))
+    return _record(out, (q, k, v), lambda g: _attention_vjp(g, qh, kt, vh, p, scale),
+                   lambda: _merge_heads(p, vh))
 
 
 @dataclass
@@ -779,6 +832,165 @@ def multi_head_attention(tokens, weights: AttentionWeights, heads: int) -> Tenso
     k = linear(tokens, weights.wk, weights.bk)
     v = linear(tokens, weights.wv, weights.bv)
     return linear(attention_core(q, k, v, heads), weights.wo, weights.bo)
+
+
+EncoderBlock = namedtuple("EncoderBlock", "ln1_g ln1_b wq wk wv wo bq bk bv bo ln2_g ln2_b w1 b1 w2 b2")
+EncoderBlock.__doc__ = """Parameters of one pre-norm encoder block, in checkpoint order: C-wide
+layer norms and attention projections, and a feed-forward layer of hidden
+width H (w1: C x H, w2: H x C)."""
+
+
+def encoder_blocks(x, blocks: Sequence[EncoderBlock], heads: int) -> Tensor:
+    """A stack of pre-norm transformer blocks over (sequences, t, C) as one
+    tape node. Each block adds `multi_head_attention(layer_norm(x))` to x,
+    then w2-`linear`(`gelu`(w1-`linear`(`layer_norm`(x)))).
+
+    Attention runs within a sequence, so sequences never mix. With the
+    worker (see `_new_worker`), sequences [n // 2, n) run on it while the
+    caller runs [0, n // 2); otherwise the caller runs all. Either way each
+    row calls the kernels the public primitives call, and a taped call
+    writes its rows of the arrays their VJPs keep into full-size buffers.
+    The VJP runs those VJPs on the replaying thread in the order the
+    composition's replay would, so outputs, gradients and the bytes kept
+    are bitwise those of the composition of `layer_norm`, `linear`,
+    `attention_core`, `gelu` and `add` (tested). An error in either half is
+    raised once both halves have finished, and nothing is recorded.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"encoder_blocks expects (sequences, tokens, C), got {x.shape}")
+    n, t, c = x.shape
+    if heads < 1 or c % heads != 0:
+        raise ConfigError(f"model width {c} is not divisible by head count {heads}")
+    blocks = [EncoderBlock(*(_as_tensor(w, x) for w in blk)) for blk in blocks]
+    for i, blk in enumerate(blocks):
+        _check_block(i, blk, c, x.dtype)
+    if not blocks:
+        return x
+    weights = [tuple(w.data for w in blk) for blk in blocks]
+    inputs = (x, *(w for blk in blocks for w in blk))
+    kept = ([_block_arrays(n, t, heads, w, x.dtype) for w in weights]
+            if _recording(*inputs) is not None else None)
+    out = np.empty_like(x.data)
+
+    def rows(lo, hi):
+        _encoder_rows(x.data[lo:hi], weights, heads, out[lo:hi],
+                      kept and [[a[lo:hi] if a.ndim else a for a in arrays] for arrays in kept])
+
+    _on_two_cpus(rows, n)
+    if kept is None:
+        return Tensor(out)
+
+    def vjp(g):
+        grads = []
+        while kept:  # last block first, each block's arrays dropped once used
+            g, block_grads = _block_vjp(g, weights[len(kept) - 1], kept.pop())
+            grads[:0] = block_grads
+        return (g, *grads)
+
+    return _record(Tensor(out), inputs, vjp)
+
+
+def _check_block(i: int, blk: EncoderBlock, c: int, dtype) -> None:
+    h = blk.w1.shape[-1] if blk.w1.ndim == 2 else -1
+    want = [(c,)] * 2 + [(c, c)] * 4 + [(c,)] * 6 + [(c, h), (h,), (h, c), (c,)]
+    for name, w, shape in zip(EncoderBlock._fields, blk, want):
+        if w.shape != shape:
+            raise ShapeError(f"encoder block {i}: {name} has shape {w.shape}, expected {shape}")
+        if w.dtype != dtype:
+            raise ConfigError(f"encoder block {i}: {name} is {w.dtype}, the input {dtype}")
+
+
+def _norm_arrays(shape: tuple[int, ...], dtype) -> list[np.ndarray]:
+    """Empty buffers for layer norm's normalized input, of x's `shape`, and
+    its inverse deviation, of that shape with a last extent of 1."""
+    return [np.empty(shape, dtype), np.empty(shape[:-1] + (1,), dtype)]
+
+
+def _block_arrays(n: int, t: int, heads: int, weights, dtype) -> list[np.ndarray]:
+    """Buffers for the arrays one block's VJP reads, over n sequences: layer
+    norm 1's (see `_norm_arrays`), the attention core's (see
+    `_head_arrays`), layer norm 2's, then GELU's slope and output."""
+    c, hidden = weights[12].shape
+    return [*_norm_arrays((n, t, c), dtype), *_head_arrays(n, t, heads, c // heads, dtype),
+            *_norm_arrays((n, t, c), dtype), np.empty((n, t, hidden), dtype), np.empty((n, t, hidden), dtype)]
+
+
+def _encoder_rows(x: np.ndarray, weights, heads: int, out: np.ndarray, kept) -> None:
+    """The block stack over the sequences of array `x`, written into `out`.
+    `kept` holds per block these sequences' rows of `_block_arrays`, or is
+    None when untaped. Calls only private kernels, so it may run on the
+    worker."""
+    for i, w in enumerate(weights):
+        keep = kept[i] if kept else None
+        x = _feed_forward_rows(_attention_rows(x, w, heads, keep), w, keep)
+    out[...] = x
+
+
+def _attention_rows(x: np.ndarray, w, heads: int, keep) -> np.ndarray:
+    """x plus its attention sublayer: layer norm 1, the q, k and v
+    projections, the attention core and the output projection. Untaped, the
+    kernels' buffers live only for their call, as in the composition."""
+    ln1_g, ln1_b, wq, wk, wv, wo, bq, bk, bv, bo = w[:10]
+    rows, t, c = x.shape
+    h = _layer_norm_into(x, ln1_g, ln1_b, *(keep[0:2] if keep else _norm_arrays(x.shape, x.dtype)))
+    h = h.reshape(-1, c)
+    ctx = _attention_into(*(_gemm_bias(h, wp, bp) for wp, bp in ((wq, bq), (wk, bk), (wv, bv))),
+                          *(keep[2:7] if keep else _head_arrays(rows, t, heads, c // heads, x.dtype)))
+    return x + _gemm_bias(ctx.reshape(h.shape), wo, bo).reshape(x.shape)
+
+
+def _feed_forward_rows(x: np.ndarray, w, keep) -> np.ndarray:
+    """x plus its feed-forward sublayer: layer norm 2, the w1 projection,
+    GELU (in place when untaped) and the w2 projection."""
+    ln2_g, ln2_b, w1, b1, w2, b2 = w[10:]
+    h = _layer_norm_into(x, ln2_g, ln2_b, *(keep[7:9] if keep else _norm_arrays(x.shape, x.dtype)))
+    u = _gemm_bias(h.reshape(-1, x.shape[-1]), w1, b1)
+    y = keep[10] if keep else u
+    _gelu_into(u.reshape(y.shape), y, keep[9] if keep else None)
+    return x + _gemm_bias(y.reshape(u.shape), w2, b2).reshape(x.shape)
+
+
+def _block_vjp(g: np.ndarray, weights, kept) -> tuple:
+    """One block's cotangents: for its input, and for its 16 parameters in
+    `EncoderBlock` order, from the output's `g`. The composition's replay
+    gives both residual adds g unchanged and sums the three projections'
+    cotangents of layer norm 1's output as (v + k) + q; so does this."""
+    ln1_g, ln1_b, wq, wk, wv, wo, bq, bk, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2 = weights
+    xn1, inv1, qh, kt, vh, p, scale, xn2, inv2, d, gelu_out = kept
+    shape = g.shape
+    gh, gw2, gb2 = _linear_vjp(g, lambda: gelu_out, w2, d.shape, b2.shape)
+    gh = np.multiply(d, gh, out=d)  # GELU
+    gy, gw1, gb1 = _linear_vjp(gh, lambda: _affine(xn2, ln2_g, ln2_b), w1, shape, b1.shape)
+    dx, gg2, gbb2 = _layer_norm_vjp(gy, xn2, inv2, ln2_g)
+    g = g + dx
+    gctx, gwo, gbo = _linear_vjp(g, lambda: _merge_heads(p, vh), wo, shape, bo.shape)
+    gq, gk, gv = _attention_vjp(gctx, qh, kt, vh, p, scale)
+    y1 = functools.cache(lambda: _affine(xn1, ln1_g, ln1_b))  # rebuilt once for the three
+    gyv, gwv, gbv = _linear_vjp(gv, y1, wv, shape, bv.shape)
+    gyk, gwk, gbk = _linear_vjp(gk, y1, wk, shape, bk.shape)
+    gyq, gwq, gbq = _linear_vjp(gq, y1, wq, shape, bq.shape)
+    dx, gg1, gbb1 = _layer_norm_vjp(gyv + gyk + gyq, xn1, inv1, ln1_g)
+    return g + dx, (gg1, gbb1, gwq, gwk, gwv, gwo, gbq, gbk, gbv, gbo, gg2, gbb2, gw1, gb1, gw2, gb2)
+
+
+def _on_two_cpus(rows: Callable[[int, int], None], n: int) -> None:
+    """rows(lo, hi) over [0, n): with the worker, [n // 2, n) runs on it
+    while the caller runs [0, n // 2); otherwise the caller runs [0, n). An
+    error is raised once both halves have finished."""
+    worker = _WORKER if n > 1 else None
+    if worker is None:
+        rows(0, n)
+        return
+    half = worker.submit(rows, n // 2, n)
+    try:
+        rows(0, n // 2)
+    except BaseException:
+        half.cancel()
+        raise
+    finally:
+        futures.wait([half])
+    half.result()
 
 
 # ---------------------------------------------------------------------------
@@ -897,15 +1109,16 @@ def _blas_threads() -> str:
 
 
 def _pool() -> futures.ThreadPoolExecutor:
-    return futures.ThreadPoolExecutor(1, thread_name_prefix="numcore-backward")
+    return futures.ThreadPoolExecutor(1, thread_name_prefix="numcore-worker")
 
 
 def _new_worker() -> futures.ThreadPoolExecutor | None:
-    """One thread that replays tapes for `backward_from`, or None.
+    """One thread that replays tapes for `backward_from` and runs half of
+    each `encoder_blocks` call, or None.
 
     It exists only when the process may use two or more CPUs and BLAS runs
     one thread: a threaded BLAS already fills the CPUs, and a second
-    replay then slows each step. The thread starts at the first replay."""
+    thread then slows each step. The thread starts at its first task."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return _pool() if cpus >= 2 and _blas_threads() == "1" else None
 

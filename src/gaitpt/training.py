@@ -4,8 +4,9 @@ identity-balanced P x K batches, AdamW, and a decaying cyclic learning rate.
 The loss gradient is computed on the embedding matrix and pushed back
 through the network in micro-batches, in the parameters' dtype, by one
 `numcore.backward_from` call over all the micro-batch tapes. With one BLAS
-thread and two or more CPUs it replays every other tape on a second thread;
-the gradients are bitwise those of a serial replay. Every micro-batch's
+thread and two or more CPUs, numcore's second thread runs half of each
+encoder's sequences in every micro-batch forward and replays every other
+tape; parameters are bitwise those of the serial path. Every micro-batch's
 tape stays alive until the whole P x K batch is mined, so peak memory
 grows with P x K; each tape keeps only what its VJPs read and rebuilds
 layer-norm outputs and attention contexts (see `numcore`), 126 MB for one

@@ -62,8 +62,9 @@ def assert_parameters_tile_the_flat_buffer(model):
 
 @pytest.fixture
 def worker(monkeypatch):
-    """Turns on the thread that replays tapes for `numcore.backward_from`,
-    whatever the environment, and yields it."""
+    """Turns on numcore's worker thread, which replays tapes for
+    `backward_from` and runs half of each `encoder_blocks` call, whatever
+    the environment, and yields it."""
     pool = nc._pool()
     monkeypatch.setattr(nc, "_WORKER", pool)
     yield pool

@@ -316,7 +316,7 @@ def test_casia_protocol_gap_exits_3(workdir):
 def test_gradcheck_pass_and_forced_failure(capsys):
     assert main(["gradcheck", "--tol", "1e-4", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "multi_head_attention" in out and "model/params" in out
+    assert "multi_head_attention" in out and "encoder_blocks" in out and "model/params" in out
     assert main(["gradcheck", "--tol", "0", "--seed", "0"]) == 1
 
 

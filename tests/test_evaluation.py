@@ -1,8 +1,14 @@
 """Retrieval metrics against brute-force oracles, protocol fidelity on
 hand-computed fixtures, and the statistical tests against scipy."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from conftest import fast_train_config, random_windows, tiny_config, tiny_splits
@@ -324,6 +330,39 @@ def test_welch_matches_scipy_on_random_fixtures():
         assert abs(ours.t - ref.statistic) < 1e-6
         assert abs(ours.p - ref.pvalue) < 1e-6
         assert abs(ours.df - ref.df) < 1e-6
+
+
+_NO_SCIPY_UNTIL_ASKED = r"""
+import io, json, sys
+import numpy as np
+from gaitpt import evaluation, model, numcore, synthgait, training
+m = model.GaitPTModel(model.GaitPTConfig(dims=(8, 16, 32, 64), blocks=1, heads=2,
+                                         sequence_length=20, output_dim=32), seed=0)
+m.embed_arrays(np.random.default_rng(0).uniform(size=(3, 20, 18, 2)).astype(np.float32))
+splits = synthgait.generate_split_sequences(synthgait.SynthConfig(identities=4, frames=40, seed=0))
+seqs = [s for part in splits.values() for s in part]
+cfg = training.TrainConfig(p=2, k=2, micro_batch=2, epochs=1, steps_per_epoch=1)
+training.train(m, seqs, cfg, log_stream=io.StringIO())
+loaded = "scipy" in sys.modules
+gelu = numcore.gelu(numcore.Tensor(np.linspace(-6.0, 6.0, 101))).data
+welch = evaluation.welch_t_test([1.0, 2.0, 4.0], [2.5, 3.0, 7.0, 8.0])
+print(json.dumps([loaded, gelu.tobytes().hex(), list(welch)]))
+"""
+
+
+def test_only_float64_gelu_and_welch_import_scipy():
+    """A float32 embedding and a training step leave scipy unloaded in a
+    fresh process; float64 GELU and the Welch test then load it and give
+    the values of scipy's formulas."""
+    src = Path(__import__("gaitpt").__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_UNTIL_ASKED], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    loaded, gelu, welch = json.loads(out)
+    assert loaded is False
+    x = np.linspace(-6.0, 6.0, 101)
+    assert bytes.fromhex(gelu) == (x * (0.5 * (1.0 + scipy.special.erf(x / np.sqrt(2.0))))).tobytes()
+    t, df, p = welch_t_test([1.0, 2.0, 4.0], [2.5, 3.0, 7.0, 8.0])
+    assert welch == [t, df, p] and p == 2.0 * scipy.special.stdtr(df, -abs(t))
 
 
 def test_welch_antisymmetric_in_t():

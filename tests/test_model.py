@@ -381,21 +381,26 @@ def test_untaped_forward_does_not_track_gradients():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_embed_arrays_is_batch_invariant(dtype):
+def test_embed_arrays_is_batch_invariant(dtype, monkeypatch, worker):
     # a window's embedding must be bitwise the same alone, at any position
-    # of a smaller set, and inside the full set (criterion-6 model)
+    # of a smaller set, and inside the full set (criterion-6 model), with
+    # the worker running half of each encoder's sequences or without it
     cfg = GaitPTConfig.build(dims=(16, 32, 64, 128), blocks=1, heads=2,
                              sequence_length=20, output_dim=32, dtype=dtype)
     model = GaitPTModel(cfg, seed=0)
     rng = np.random.default_rng(1)
     windows = random_windows(66, 20, rng, dtype=cfg.np_dtype)
+    monkeypatch.setattr(nc, "_WORKER", None)
     full = model.embed_arrays(windows)
     assert full.shape == (66, 32) and full.dtype == cfg.np_dtype
-    for n in (1, 2, 5, 8, 9, 66):
-        order = rng.permutation(66)
-        for start in (0, 29, 61):
-            idx = np.take(order, range(start, start + n), mode="wrap")
-            assert np.array_equal(model.embed_arrays(windows[idx]), full[idx]), (n, start)
+    for pool in (None, worker):
+        monkeypatch.setattr(nc, "_WORKER", pool)
+        assert np.array_equal(model.embed_arrays(windows), full)
+        for n in (1, 2, 5, 8, 9, 66):
+            order = rng.permutation(66)
+            for start in (0, 29, 61):
+                idx = np.take(order, range(start, start + n), mode="wrap")
+                assert np.array_equal(model.embed_arrays(windows[idx]), full[idx]), (pool, n, start)
 
 
 @pytest.mark.parametrize("n, batches", [(1, [1]), (9, [8, 1]), (17, [8, 8, 1])])

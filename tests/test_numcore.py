@@ -4,6 +4,8 @@ finite differences, and the attention/normalization building blocks."""
 import functools
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -196,21 +198,28 @@ def test_float32_gelu_matches_float64_erf_within_bound():
     assert np.array_equal(np.signbit(zeros), [False, True])
 
 
+def _gelu_and_slope(x):
+    """`numcore._gelu_into`'s output and slope of `x`, in new arrays."""
+    y, d = np.empty_like(x), np.empty_like(x)
+    nc._gelu_into(x, y, d)
+    return y, d
+
+
 def test_float32_gelu_is_monotone_and_its_cdf_stays_in_unit_interval(monkeypatch):
     xs = np.linspace(-0.5, 8.0, 200_001).astype(np.float32)
     assert np.all(np.diff(nc.gelu(Tensor(xs)).data) >= 0)
     # Phi lives only in block scratch; read it out through the slope's array
     monkeypatch.setattr(nc, "_gelu_slope", lambda x, cdf, d: np.copyto(d, cdf))
-    _, cdf = nc._gelu_f32(_f32_gelu_probes()[0], True)
+    _, cdf = _gelu_and_slope(_f32_gelu_probes()[0])
     assert cdf.min() >= 0.0 and cdf.max() <= 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, nc.GELU_BLOCK - 1, nc.GELU_BLOCK + 1, 3 * nc.GELU_BLOCK + 1234])
 def test_float32_gelu_blocks_agree_with_one_unblocked_pass(n, monkeypatch):
     x = np.random.default_rng(n).normal(scale=3.0, size=n).astype(np.float32)
-    blocked = nc._gelu_f32(x, True)
+    blocked = _gelu_and_slope(x)
     monkeypatch.setattr(nc, "GELU_BLOCK", max(n, 1))
-    whole = nc._gelu_f32(x, True)
+    whole = _gelu_and_slope(x)
     assert len(blocked) == len(whole) == 2
     assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
 
@@ -608,10 +617,149 @@ def test_a_tape_open_on_one_thread_records_no_op_of_another():
     assert len(tapes[0]) == 0
 
 
+# ---------------------------------------------------------------------------
+# the encoder block stack against the 12 primitives per block it replaces
+# ---------------------------------------------------------------------------
+
+def _block_shapes(c, hidden):
+    return [(c,)] * 2 + [(c, c)] * 4 + [(c,)] * 6 + [(c, hidden), (hidden,), (hidden, c), (c,)]
+
+
+def _stack_arrays(rng, n, t, c, hidden, depth, dtype):
+    """One flat buffer, and the stack's input (n, t, c) and `depth` blocks'
+    parameters as views into it, in `EncoderBlock` order."""
+    shapes = [(n, t, c)] + _block_shapes(c, hidden) * depth
+    flat = rng.normal(scale=0.7, size=sum(math.prod(s) for s in shapes)).astype(dtype)
+    arrays, start = [], 0
+    for shape in shapes:
+        arrays.append(flat[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return flat, arrays
+
+
+def _composed_blocks(x, blocks, heads):
+    """The stack as 12 primitive nodes per block: layer norm,
+    `multi_head_attention` (4 `linear` and the attention core), add, layer
+    norm, `linear`, `gelu`, `linear` and add. The oracle."""
+    for blk in blocks:
+        h = nc.layer_norm(x, blk.ln1_g, blk.ln1_b)
+        x = nc.add(x, nc.multi_head_attention(h, AttentionWeights(*blk[2:10]), heads))
+        h = nc.gelu(nc.linear(nc.layer_norm(x, blk.ln2_g, blk.ln2_b), blk.w1, blk.b1))
+        x = nc.add(x, nc.linear(h, blk.w2, blk.b2))
+    return x
+
+
+def _stacked(stack, heads):
+    """`stack` as a function of the input and the blocks' parameters, flat."""
+    return lambda x, *ws: stack(x, [nc.EncoderBlock(*ws[i : i + 16]) for i in range(0, len(ws), 16)], heads)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_encoder_blocks_is_bitwise_the_composition(replay_worker, dtype, n):
+    """Two blocks: the output, the gradients of the input and of all 32
+    parameters, and the bytes the tape keeps. With the worker, 2 and 7
+    sequences split into halves of 1 + 1 and 3 + 4, which write disjoint
+    rows of shared buffers under a short thread switch interval."""
+    tape_bytes = _fingerprint_tool().tape_bytes
+    flat, arrays = _stack_arrays(np.random.default_rng(n), n, 6, 8, 12, 2, dtype)
+    needs = (True,) * len(arrays)
+    fused, composed = _stacked(nc.encoder_blocks, 2), _stacked(_composed_blocks, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _forward_backward(fused, arrays, needs)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_bitwise(got, _forward_backward(composed, arrays, needs))
+    kept = []
+    for stack in (fused, composed):
+        with GradTape() as tape:
+            stack(*(Tensor(a, requires_grad=True) for a in arrays))
+        kept.append((len(tape), tape_bytes(tape, flat)))
+    assert kept[0][0] == 1 and kept[1][0] == 24
+    assert kept[0][1] == kept[1][1]
+
+
+def test_encoder_blocks_runs_one_half_on_the_worker(worker, monkeypatch):
+    halves, rows = [], nc._encoder_rows
+    monkeypatch.setattr(nc, "_encoder_rows", lambda x, *a: halves.append(
+        (len(x), threading.current_thread() is threading.main_thread())) or rows(x, *a))
+    _, arrays = _stack_arrays(np.random.default_rng(0), 7, 4, 8, 16, 1, np.float32)
+    _stacked(nc.encoder_blocks, 2)(*arrays)
+    assert sorted(halves) == [(3, True), (4, False)]
+    monkeypatch.setattr(nc, "_WORKER", None)
+    halves.clear()
+    _stacked(nc.encoder_blocks, 2)(*arrays)
+    assert halves == [(7, True)]
+
+
+@pytest.mark.parametrize("bad", ["caller", "worker"])
+def test_a_non_finite_score_in_either_half_raises_once_both_have_finished(worker, monkeypatch, bad):
+    """Sequences 0-1 run on the caller and 2-3 on the worker. The half with a
+    NaN raises; the other is still running when it does, and the error
+    reaches the caller only after both halves end. Nothing is recorded."""
+    started, finished, rows = threading.Event(), [], nc._encoder_rows
+
+    def spy(x, *args):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker:
+            started.set()
+            time.sleep(0.2 if bad == "caller" else 0.0)
+        else:
+            assert started.wait(timeout=60)
+            time.sleep(0.2 if bad == "worker" else 0.0)
+        try:
+            rows(x, *args)
+        finally:
+            finished.append(on_worker)
+
+    monkeypatch.setattr(nc, "_encoder_rows", spy)
+    _, arrays = _stack_arrays(np.random.default_rng(1), 4, 5, 8, 16, 2, np.float32)
+    arrays[0][0 if bad == "caller" else 3, 2, 1] = np.nan
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with GradTape() as tape:
+        with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+            _stacked(nc.encoder_blocks, 2)(*leaves)
+        assert sorted(finished) == [False, True]
+    assert len(tape) == 0
+    assert worker.submit(lambda: "idle").result(timeout=60) == "idle"
+
+
+def test_encoder_blocks_matches_finite_differences_in_its_parameters():
+    """float64, one block, 3 sequences: the input and every parameter,
+    perturbed as one vector."""
+    _, arrays = _stack_arrays(np.random.default_rng(5), 3, 4, 4, 8, 1, np.float64)
+    bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
+    weight = t64(np.random.default_rng(6).normal(size=arrays[0].shape))
+
+    def f(theta):
+        views = [nc.reshape(theta[lo:hi], a.shape) for a, lo, hi in zip(arrays, bounds, bounds[1:])]
+        return nc.tensor_sum(nc.mul(_stacked(nc.encoder_blocks, 2)(*views), weight))
+
+    report = nc.grad_check(f, t64(np.concatenate([a.reshape(-1) for a in arrays])), tol=1e-5)
+    assert report.passed, report.max_rel_err
+
+
+def test_encoder_blocks_rejects_bad_shapes_heads_and_dtypes():
+    _, arrays = _stack_arrays(np.random.default_rng(2), 2, 3, 8, 16, 2, np.float64)
+    x, ws = Tensor(arrays[0]), [Tensor(a) for a in arrays[1:]]
+    blocks = [nc.EncoderBlock(*ws[:16]), nc.EncoderBlock(*ws[16:])]
+    assert nc.encoder_blocks(x, [], 2) is x
+    with pytest.raises(ShapeError, match=r"\(sequences, tokens, C\)"):
+        nc.encoder_blocks(Tensor(arrays[0][0]), blocks, 2)
+    with pytest.raises(ConfigError, match="divisible"):
+        nc.encoder_blocks(x, blocks, 3)
+    with pytest.raises(ShapeError, match=r"encoder block 1: b1 has shape \(8,\), expected \(16,\)"):
+        nc.encoder_blocks(x, [blocks[0], blocks[1]._replace(b1=ws[0])], 2)
+    with pytest.raises(ConfigError, match="encoder block 0: w2 is float32"):
+        nc.encoder_blocks(x, [blocks[0]._replace(w2=Tensor(arrays[15].astype(np.float32))), blocks[1]], 2)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [1, 2, 5, 17, 31, 33])
 def test_in_place_softmax_is_bitwise_softmax_with_signed_zero_ties(dtype, width):
-    """Rows whose max is a tie of +0 and -0: the column loop may pick the
+    """Rows whose max is a tie of +0 and -0: `_row_max_min` may pick the
     other zero than x.max does, which changes no output."""
     rng = np.random.default_rng(width)
     x = -np.abs(rng.normal(size=(64, 3, width))).astype(dtype)
@@ -744,7 +892,8 @@ def _assert_serial_grads(leaves, n, replayed):
 
 @pytest.fixture(params=["inline", "worker"])
 def replay_worker(request, monkeypatch):
-    """Runs the test with `backward_from`'s worker thread off, then on."""
+    """Runs the test with the worker thread (replays and encoder halves)
+    off, then on."""
     if request.param == "worker":
         return request.getfixturevalue("worker")
     monkeypatch.setattr(nc, "_WORKER", None)
@@ -966,12 +1115,13 @@ def _fingerprint_tool():
 
 
 def test_criterion6_micro_batch_records_a_pinned_number_of_tape_nodes():
-    """One taped 8-window micro-batch: 196 nodes on the criterion-6 model and
-    364 on the default one, whose VJP closures hold 14,775,420 and
-    132,078,324 bytes besides the parameters (`tools/fingerprint.py`'s
-    `tape-bytes`; 17,767,548 and 158,786,292 when `linear` kept every
-    layer-norm output and attention context). Counts, so they do not depend
-    on the host."""
+    """One taped 8-window micro-batch: 119 nodes on the criterion-6 model and
+    on the default one, whose VJP closures hold 14,775,420 and 132,078,324
+    bytes besides the parameters (`tools/fingerprint.py`'s `tape-bytes`;
+    17,767,548 and 158,786,292 when `linear` kept every layer-norm output
+    and attention context). Each encoder's block stack is one node; it was
+    12 per block (196 and 364 nodes), keeping the same bytes. Counts, so
+    they do not depend on the host."""
     from gaitpt.model import GaitPTConfig, GaitPTModel
 
     tape_bytes = _fingerprint_tool().tape_bytes
@@ -983,7 +1133,7 @@ def test_criterion6_micro_batch_records_a_pinned_number_of_tape_nodes():
         with GradTape() as tape:
             model.embed_batch(windows)
         counts.append((len(tape), tape_bytes(tape, model.flat_parameters().data)))
-    assert counts == [(196, 14_775_420), (364, 132_078_324)]
+    assert counts == [(119, 14_775_420), (119, 132_078_324)]
 
 
 def test_backward_is_exact_when_dropped_outputs_free_their_ids():

@@ -368,8 +368,9 @@ def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker
     """perfbench's tracer keeps one span stack for all threads, so traced
     code must stay on the calling thread. Every public numcore function is
     wrapped as the tracer wraps it, under every name the package binds it
-    to; only the private replays may run on the worker."""
-    calls, replays = [], []
+    to; only the private replays and encoder halves may run on the worker,
+    in a training step and in `embed_arrays`."""
+    calls, replays, halves = [], [], []
 
     def wrap(fn):
         @functools.wraps(fn)
@@ -387,11 +388,21 @@ def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker
                     monkeypatch.setattr(module, attr, wrappers[id(value)])
     replay = nc._replay
     monkeypatch.setattr(nc, "_replay", lambda *pair: replays.append(threading.current_thread()) or replay(*pair))
+    rows = nc._encoder_rows
+    monkeypatch.setattr(nc, "_encoder_rows", lambda *a: halves.append(threading.current_thread()) or rows(*a))
 
-    _micro_batch_step(GaitPTModel(tiny_config(), seed=0), 3)
-    assert {"linear", "backward_from"} <= {name for name, _ in calls}
-    assert {thread for _, thread in calls} == {threading.main_thread()}
+    model = GaitPTModel(tiny_config(), seed=0)
+    _micro_batch_step(model, 3)
+    assert {"linear", "encoder_blocks", "backward_from"} <= {name for name, _ in calls}
     assert {thread is threading.main_thread() for thread in replays} == {True, False}
+    assert {thread is threading.main_thread() for thread in halves} == {True, False}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+    calls.clear()
+    halves.clear()
+    model.embed_arrays(random_windows(9, model.config.sequence_length, dtype=np.float32))
+    assert {"linear", "encoder_blocks"} <= {name for name, _ in calls}
+    assert {thread is threading.main_thread() for thread in halves} == {True, False}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method, Linux")
