@@ -417,9 +417,20 @@ class GaitPTModel:
         Runs `embed_batch` on chunks of `EMBED_CHUNK` windows, which bounds
         the memory of one call; the last chunk holds what is left. A window's
         embedding is bitwise the same whatever else it is embedded with.
+
+        Where numcore runs work on two CPUs (see `numcore._in_two_children`),
+        two or more chunks are split between two forked children: the first
+        embeds chunks [0, ceil(k / 2)) of k and the second the rest, each one
+        chunk at a time, so two chunks are in flight while the caller waits.
+        A child's error is raised here with its class. Otherwise the caller
+        embeds every chunk, with each encoder's sequences split across the
+        CPUs where numcore's worker exists.
         """
         n = windows.shape[0]
         if n == 0:
             raise InputError(f"no windows to embed: input has shape {windows.shape}")
-        return np.concatenate([self.embed_batch(windows[s : s + EMBED_CHUNK]).data
-                               for s in range(0, n, EMBED_CHUNK)], axis=0)
+        parts = nc._in_two_children(
+            lambda starts: np.concatenate([self.embed_batch(windows[s : s + EMBED_CHUNK]).data
+                                           for s in starts], axis=0),
+            range(0, n, EMBED_CHUNK))
+        return np.concatenate(parts, axis=0)

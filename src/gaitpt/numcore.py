@@ -64,6 +64,14 @@ The worker runs only VJPs, recipes and private kernels, which call numpy
 and other private helpers, so no public function of this module ever runs
 off the calling thread, and work on the worker never waits for the
 worker.
+
+Under the same rule, on Linux, `_in_two_children` splits a list of
+independent untaped jobs (the model's `embed_arrays` chunks) between two
+forked children while the caller waits; otherwise the caller runs them.
+Each child has its own interpreter lock, so neither half waits on the
+other's numpy calls. A child is a copy of the caller without a worker, so
+its results are bitwise the caller's inline ones; it runs everything on
+its own main thread, and what it records (tracing included) dies with it.
 """
 
 from __future__ import annotations
@@ -71,15 +79,19 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
+import warnings
 from collections import deque, namedtuple
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, checked_int, checked_real
+from .errors import ConfigError, GaitError, NumericError, ShapeError, checked_int, checked_real
 
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
@@ -1108,8 +1120,11 @@ def _blas_threads() -> str:
     return (os.environ.get(own) or os.environ.get("OMP_NUM_THREADS") or "").strip()
 
 
+_WORKER_NAME = "numcore-worker"  # the prefix of the worker thread's name
+
+
 def _pool() -> futures.ThreadPoolExecutor:
-    return futures.ThreadPoolExecutor(1, thread_name_prefix="numcore-worker")
+    return futures.ThreadPoolExecutor(1, thread_name_prefix=_WORKER_NAME)
 
 
 def _new_worker() -> futures.ThreadPoolExecutor | None:
@@ -1136,6 +1151,83 @@ def _restart_worker() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_restart_worker)
+
+
+def _in_two_children(run: Callable[[Sequence], object], items: Sequence) -> list:
+    """[run(items)], or [run(items[:h]), run(items[h:])] with h = ceil(k / 2)
+    computed by two forked children while the caller waits.
+
+    The children run only when the worker exists (two or more CPUs, one
+    BLAS thread), on Linux, for k >= 2 items, and when every other live
+    thread is a numcore worker, idle since each submit waits for its
+    future. Each child is a copy of the caller with no worker of its own
+    that runs `run` inline, so the bits are the caller's, and sends its
+    result or exception back through a pipe. The earlier part's exception
+    is raised once both children are reaped; a child that sends nothing
+    raises a `GaitError` naming its exit status. If the caller is
+    interrupted, the children still running are killed."""
+    others = [t for t in threading.enumerate() if t is not threading.current_thread()]
+    if (_WORKER is None or not sys.platform.startswith("linux") or len(items) < 2
+            or not all(t.name.startswith(_WORKER_NAME) for t in others)):
+        return [run(items)]
+    half = -(-len(items) // 2)
+    children, outcomes = [], []  # (pid, pipe reader) of each unreaped child
+    try:
+        for part in (items[:half], items[half:]):
+            r, w = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    if others:  # Python 3.12 warns when a threaded process forks
+                        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(run, part, r, w)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        while children:
+            pid, reader = children[0]
+            with reader:
+                payload = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            outcomes.append(pickle.loads(payload) if code == 0 else
+                            (False, GaitError(f"a forked child ended with exit status {code}")))
+    finally:
+        for pid, reader in children:
+            reader.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _child(run, part, r: int, w: int) -> NoReturn:
+    """A forked child's life: run(part) with no worker, its pickled
+    (True, result) or (False, exception) written to `w`; exits 0 once that
+    is written, else 1, running no exit handler and flushing no buffer."""
+    global _WORKER
+    code = 1
+    try:
+        os.close(r)
+        _WORKER = None
+        try:
+            outcome = (True, run(part))
+        except BaseException as e:
+            outcome = (False, e)
+        with open(w, "wb") as f:
+            f.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------

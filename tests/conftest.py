@@ -1,6 +1,8 @@
 """Shared builders for the test suite: tiny model configs and small
 synthetic datasets that keep every test fast."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,25 @@ def worker(monkeypatch):
     monkeypatch.setattr(nc, "_WORKER", pool)
     yield pool
     pool.shutdown()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Records the pid of each child this process forks, and yields the
+    list."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,15 +2,17 @@
 equivariances, ablation semantics, parameter counts, and gradient fidelity."""
 
 import copy
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_parameters_tile_the_flat_buffer, random_windows, tiny_config
+from conftest import assert_no_child_left, assert_parameters_tile_the_flat_buffer, random_windows, tiny_config
 
 from gaitpt import numcore as nc
-from gaitpt.errors import ConfigError, InputError, ShapeError
+from gaitpt.errors import ConfigError, InputError, NumericError, ShapeError
 from gaitpt.model import (
     GaitPTConfig,
     GaitPTModel,
@@ -19,6 +21,9 @@ from gaitpt.model import (
 from gaitpt.numcore import Tensor
 from gaitpt.skeleton import PartitionScheme
 from gaitpt.training import triplet_loss
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks, Linux")
 
 
 def tiny_model(seed=0, **overrides):
@@ -405,6 +410,7 @@ def test_embed_arrays_is_batch_invariant(dtype, monkeypatch, worker):
 
 @pytest.mark.parametrize("n, batches", [(1, [1]), (9, [8, 1]), (17, [8, 8, 1])])
 def test_embed_arrays_runs_no_padded_window_through_the_pyramid(monkeypatch, n, batches):
+    monkeypatch.setattr(nc, "_WORKER", None)  # the caller embeds every chunk
     model = tiny_model()
     seen, embed_batch = [], model.embed_batch
 
@@ -415,6 +421,54 @@ def test_embed_arrays_runs_no_padded_window_through_the_pyramid(monkeypatch, n, 
     monkeypatch.setattr(model, "embed_batch", spy)
     assert model.embed_arrays(random_windows(n, 20, dtype=np.float32)).shape == (n, 32)
     assert seen == batches
+
+
+@linux_only
+@pytest.mark.parametrize("n, batches", [(9, [[8], [1]]), (17, [[8, 8], [1]]), (20, [[8, 8], [4]])])
+def test_two_children_run_no_padded_window_through_the_pyramid(monkeypatch, worker, forks, tmp_path, n, batches):
+    """Each child appends its pid and batch sizes to a file, since the
+    caller sees nothing of what the children run."""
+    model = tiny_model()
+    log, embed_batch = tmp_path / "batches", model.embed_batch
+
+    def spy(x, *args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {len(x)}\n")
+        return embed_batch(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "embed_batch", spy)
+    assert model.embed_arrays(random_windows(n, 20, dtype=np.float32)).shape == (n, 32)
+    seen = [line.split() for line in log.read_text().splitlines()]
+    assert len(forks) == 2
+    assert [[int(size) for pid, size in seen if int(pid) == child] for child in forks] == batches
+    assert_no_child_left()
+
+
+@linux_only
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n", [12, 24, 65])  # 2 chunks, 3 chunks and 9, the last chunk partial at 12 and 65
+def test_embed_arrays_in_two_children_is_bitwise_the_inline_output(monkeypatch, worker, forks, dtype, n):
+    model = tiny_model(dtype=dtype)
+    windows = random_windows(n, 20, dtype=model.config.np_dtype)
+    monkeypatch.setattr(nc, "_WORKER", None)
+    inline = model.embed_arrays(windows)
+    monkeypatch.setattr(nc, "_WORKER", worker)
+    out = model.embed_arrays(windows)
+    assert len(forks) == 2
+    assert out.dtype == inline.dtype and out.shape == (n, 32)
+    assert out.tobytes() == inline.tobytes()
+    assert_no_child_left()
+
+
+@linux_only
+@pytest.mark.parametrize("bad", [3, 20])  # the first child embeds windows 0-15, the second 16-23
+def test_a_nan_window_in_either_child_raises_its_numeric_error(worker, forks, bad):
+    windows = random_windows(24, 20, dtype=np.float32)
+    windows[bad, 5, 3, 0] = np.nan
+    with pytest.raises(NumericError, match="^softmax input contains non-finite values$"):
+        tiny_model().embed_arrays(windows)
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_embed_arrays_rejects_zero_windows():

@@ -3,6 +3,8 @@ finite differences, and the attention/normalization building blocks."""
 
 import functools
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 import scipy.special
 
+from conftest import assert_no_child_left
+
 from gaitpt import numcore as nc
-from gaitpt.errors import ConfigError, NumericError, ShapeError
+from gaitpt.errors import ConfigError, GaitError, NumericError, ShapeError
 from gaitpt.numcore import AttentionWeights, GradTape, Tensor
 
 
@@ -997,6 +1001,87 @@ def test_index_select_vjp_is_bitwise_np_add_at(dtype, indices):
     assert leaf.grad.data.dtype == dtype
     assert leaf.grad.data.tobytes() == expected.tobytes()
     assert not np.signbit(leaf.grad.data[leaf.grad.data == 0]).any()
+
+
+# ---------------------------------------------------------------------------
+# work split between two forked children
+# ---------------------------------------------------------------------------
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks, Linux")
+
+
+@linux_only
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_in_two_children_splits_the_items_at_half_rounded_up(worker, forks, k):
+    parts = nc._in_two_children(lambda part: (os.getpid(), list(part)), range(k))
+    assert [items for _, items in parts] == [list(range(-(-k // 2))), list(range(-(-k // 2), k))]
+    assert [pid for pid, _ in parts] == forks and len(forks) == 2
+    assert_no_child_left()
+
+
+def test_in_two_children_runs_inline_without_the_worker_or_for_one_item(monkeypatch, worker, forks):
+    assert nc._in_two_children(lambda part: (os.getpid(), list(part)), range(1)) == [(os.getpid(), [0])]
+    monkeypatch.setattr(nc, "_WORKER", None)
+    assert nc._in_two_children(lambda part: (os.getpid(), list(part)), range(3)) == [(os.getpid(), [0, 1, 2])]
+    assert forks == []
+
+
+@linux_only
+@pytest.mark.parametrize("failing, raised", [((0, 2), NumericError), ((2,), ConfigError)])
+def test_in_two_children_raises_the_earlier_part_s_error_with_its_class(worker, failing, raised):
+    def run(part):
+        if part[0] in failing:
+            raise (NumericError if part[0] == 0 else ConfigError)(f"part {list(part)}")
+        return list(part)
+
+    with pytest.raises(raised, match=r"^part \[0, 1\]$" if raised is NumericError else r"^part \[2, 3\]$"):
+        nc._in_two_children(run, range(4))
+    assert_no_child_left()
+
+
+@linux_only
+def test_a_child_killed_by_a_signal_raises_an_error_naming_its_exit_status(worker):
+    def run(part):
+        if part[0] == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return list(part)
+
+    with pytest.raises(GaitError, match="exit status -9"):
+        nc._in_two_children(run, range(4))
+    assert_no_child_left()
+
+
+@linux_only
+def test_an_interrupted_caller_kills_and_reaps_its_children(worker):
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked child inherits no timer
+        with pytest.raises(Interrupted):
+            nc._in_two_children(lambda part: time.sleep(60), range(2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_with_a_foreign_thread_alive_the_caller_runs_the_items(worker, forks):
+    stop = threading.Event()
+    foreign = threading.Thread(target=stop.wait, args=(60,))
+    foreign.start()
+    try:
+        assert nc._in_two_children(lambda part: (os.getpid(), list(part)), range(3)) == [(os.getpid(), [0, 1, 2])]
+    finally:
+        stop.set()
+        foreign.join(60)
+    assert not foreign.is_alive() and forks == []
 
 
 # ---------------------------------------------------------------------------

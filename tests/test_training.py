@@ -7,9 +7,11 @@ import io
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,18 +366,14 @@ def test_a_train_step_is_bitwise_the_same_with_and_without_the_worker(monkeypatc
     assert after[0] == after[1]
 
 
-def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker):
-    """perfbench's tracer keeps one span stack for all threads, so traced
-    code must stay on the calling thread. Every public numcore function is
-    wrapped as the tracer wraps it, under every name the package binds it
-    to; only the private replays and encoder halves may run on the worker,
-    in a training step and in `embed_arrays`."""
-    calls, replays, halves = [], [], []
-
+def _wrap_public_numcore(monkeypatch, on_call) -> None:
+    """Wraps every public numcore function as perfbench's tracer wraps it,
+    under every name the package binds it to; each call first calls
+    on_call(fn)."""
     def wrap(fn):
         @functools.wraps(fn)
         def traced(*args, **kwargs):
-            calls.append((fn.__name__, threading.current_thread()))
+            on_call(fn)
             return fn(*args, **kwargs)
         return traced
 
@@ -386,6 +384,15 @@ def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker
             for attr, value in list(vars(module).items()):
                 if id(value) in wrappers:
                     monkeypatch.setattr(module, attr, wrappers[id(value)])
+
+
+def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker):
+    """perfbench's tracer keeps one span stack for all threads, so traced
+    code must stay on the calling thread. Only the private replays and
+    encoder halves may run on the worker, in a training step and in a
+    one-chunk `embed_arrays` (more chunks run in forked children)."""
+    calls, replays, halves = [], [], []
+    _wrap_public_numcore(monkeypatch, lambda fn: calls.append((fn.__name__, threading.current_thread())))
     replay = nc._replay
     monkeypatch.setattr(nc, "_replay", lambda *pair: replays.append(threading.current_thread()) or replay(*pair))
     rows = nc._encoder_rows
@@ -399,10 +406,34 @@ def test_no_public_numcore_function_runs_off_the_main_thread(monkeypatch, worker
     assert {thread for _, thread in calls} == {threading.main_thread()}
     calls.clear()
     halves.clear()
-    model.embed_arrays(random_windows(9, model.config.sequence_length, dtype=np.float32))
+    model.embed_arrays(random_windows(8, model.config.sequence_length, dtype=np.float32))
     assert {"linear", "encoder_blocks"} <= {name for name, _ in calls}
     assert {thread is threading.main_thread() for thread in halves} == {True, False}
     assert {thread for _, thread in calls} == {threading.main_thread()}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks, Linux")
+def test_no_public_numcore_function_runs_off_a_forked_child_s_main_thread(monkeypatch, worker, forks, tmp_path):
+    """In the two children of a 2-chunk `embed_arrays`, which have no worker,
+    every public numcore function and every encoder's rows run on the
+    child's main thread. The children append what they saw to a file."""
+    log = tmp_path / "calls"
+
+    def record(name):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {name} {threading.current_thread() is threading.main_thread()}\n")
+
+    _wrap_public_numcore(monkeypatch, lambda fn: record(fn.__name__))
+    rows = nc._encoder_rows
+    monkeypatch.setattr(nc, "_encoder_rows", lambda *a: record("_encoder_rows") or rows(*a))
+
+    model = GaitPTModel(tiny_config(), seed=0)
+    model.embed_arrays(random_windows(9, model.config.sequence_length, dtype=np.float32))
+    seen = [line.split() for line in log.read_text().splitlines()]
+    assert len(forks) == 2 and {int(pid) for pid, _, _ in seen} == set(forks)
+    for child in forks:
+        assert {"linear", "encoder_blocks", "_encoder_rows"} <= {name for pid, name, _ in seen if int(pid) == child}
+    assert {main for _, _, main in seen} == {"True"}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method, Linux")
@@ -423,6 +454,41 @@ def test_a_child_forked_after_a_step_with_the_worker_trains(worker):
             os._exit(status)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks, Linux")
+def test_an_embed_after_a_step_with_the_worker_forks_its_children_without_a_warning():
+    """Python 3.12 warns when a threaded process forks. In a fresh process
+    where every DeprecationWarning after the imports is an error, a training
+    step starts the worker; a 2-chunk embed then forks two children without
+    that warning, gives the inline bits, and the worker still runs a task."""
+    code = (
+        "import os, threading, warnings\n"
+        "import numpy as np\n"
+        "from gaitpt import numcore as nc, training\n"
+        "from gaitpt.model import GaitPTConfig, GaitPTModel\n"
+        "warnings.simplefilter('error', DeprecationWarning)\n"
+        "nc._WORKER = nc._pool()  # whatever the CPUs\n"
+        "cfg = GaitPTConfig.build(dims=(8, 16, 32, 64), blocks=1, heads=2, sequence_length=20, output_dim=32)\n"
+        "model = GaitPTModel(cfg, seed=0)\n"
+        "windows = np.random.default_rng(0).uniform(size=(16, 20, 18, 2)).astype(np.float32)\n"
+        "training._train_step(model, windows[:8], [i // 2 for i in range(8)],\n"
+        "                     training.TrainConfig(p=4, k=2, micro_batch=4),\n"
+        "                     training.OptimizerState.for_params(model.params), 1e-3, 'step')\n"
+        "assert [t.name[:14] for t in threading.enumerate()][1:] == ['numcore-worker']\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "forked = model.embed_arrays(windows)\n"
+        "assert len(forks) == 2\n"
+        "worker, nc._WORKER = nc._WORKER, None\n"
+        "assert forked.tobytes() == model.embed_arrays(windows).tobytes()\n"
+        "assert worker.submit(threading.current_thread).result(timeout=60).name.startswith('numcore-worker')\n"
+        "print('ok')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nc.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                         text=True, timeout=300).stdout
+    assert out == "ok\n"
 
 
 def test_train_rejects_insufficient_identities():
