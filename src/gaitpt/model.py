@@ -421,7 +421,8 @@ class GaitPTModel:
         Where numcore runs work on two CPUs (see `numcore._in_two_children`),
         two or more chunks are split between two forked children: the first
         embeds chunks [0, ceil(k / 2)) of k and the second the rest, each one
-        chunk at a time, so two chunks are in flight while the caller waits.
+        chunk at a time, so two chunks' temporaries are live at once, one in
+        each child, while the caller waits and holds only their results.
         A child's error is raised here with its class. Otherwise the caller
         embeds every chunk, with each encoder's sequences split across the
         CPUs where numcore's worker exists.

@@ -72,6 +72,9 @@ Each child has its own interpreter lock, so neither half waits on the
 other's numpy calls. A child is a copy of the caller without a worker, so
 its results are bitwise the caller's inline ones; it runs everything on
 its own main thread, and what it records (tracing included) dies with it.
+Two jobs are in flight at once, each child holding its own job's
+temporaries and a copy of each page of the caller it writes; the caller
+allocates only the results it reads back.
 """
 
 from __future__ import annotations

@@ -459,15 +459,14 @@ def test_a_child_forked_after_a_step_with_the_worker_trains(worker):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks, Linux")
 def test_an_embed_after_a_step_with_the_worker_forks_its_children_without_a_warning():
     """Python 3.12 warns when a threaded process forks. In a fresh process
-    where every DeprecationWarning after the imports is an error, a training
-    step starts the worker; a 2-chunk embed then forks two children without
-    that warning, gives the inline bits, and the worker still runs a task."""
+    where every DeprecationWarning is an error, a training step starts the
+    worker; a 2-chunk embed then forks two children without that warning,
+    gives the inline bits, and the worker still runs a task."""
     code = (
-        "import os, threading, warnings\n"
+        "import os, threading\n"
         "import numpy as np\n"
         "from gaitpt import numcore as nc, training\n"
         "from gaitpt.model import GaitPTConfig, GaitPTModel\n"
-        "warnings.simplefilter('error', DeprecationWarning)\n"
         "nc._WORKER = nc._pool()  # whatever the CPUs\n"
         "cfg = GaitPTConfig.build(dims=(8, 16, 32, 64), blocks=1, heads=2, sequence_length=20, output_dim=32)\n"
         "model = GaitPTModel(cfg, seed=0)\n"
@@ -486,8 +485,8 @@ def test_an_embed_after_a_step_with_the_worker_forks_its_children_without_a_warn
         "print('ok')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(nc.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
-                         text=True, timeout=300).stdout
+    out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
     assert out == "ok\n"
 
 
